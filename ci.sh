@@ -21,6 +21,10 @@ cargo test --workspace -q
 echo "== cargo test --doc =="
 cargo test --workspace --doc -q
 
+echo "== cargo doc (deny broken intra-doc links) =="
+# Links left dangling by a deleted item fail here instead of rotting.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 echo "== serving_trace example (lifecycle/counter export end-to-end) =="
 cargo run --release -p skip-suite --example serving_trace
 

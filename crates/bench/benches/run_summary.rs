@@ -1,6 +1,7 @@
 //! Criterion bench: the sink-generic execution core — full trace recording
-//! vs the zero-allocation summary sink vs the replication-free reference
-//! path, on the BERT prefill workload the perf suite tracks.
+//! vs the zero-allocation summary sink vs the tree-walk reference path
+//! (no schedule replay), on the BERT prefill workload the perf suite
+//! tracks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use skip_hw::Platform;

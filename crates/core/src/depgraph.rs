@@ -20,8 +20,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 use skip_trace::{CorrelationId, OpId, ThreadId, Trace};
 
-/// Index of an operator within [`DependencyGraph::ops`] order (the trace's
-/// CPU-op order).
+/// Index of an operator within [`Trace::cpu_ops`] order.
 pub type OpRef = usize;
 
 /// A launch call resolved against the graph: which operator issued it and

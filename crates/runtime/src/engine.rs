@@ -6,14 +6,11 @@
 //! [`RunSummary`] aggregator ([`Engine::run_summary`]), so consumers that
 //! only need a latency number skip event materialization entirely.
 //!
-//! On top of the sink core sits a periodic-layer fast path for eager-style
-//! execution: an operator list whose tail repeats (L identical transformer
-//! layer blocks) is simulated block by block only until the per-kernel
-//! timing deltas of two successive blocks repeat exactly, after which the
-//! remaining blocks are *replicated* by constant time offsets. The
-//! replication is exact for the max-plus FIFO recurrence once the timing is
-//! periodic — see [`periodic_shift`] for the case analysis — and the engine
-//! falls back to full simulation whenever no period is detected.
+//! Eager-style workload runs replay a pre-priced [`Schedule`] compiled once
+//! per graph shape and platform; [`Engine::run_reference`] walks the
+//! operator tree instead and must produce the same trace byte for byte.
+//! Arbitrary operator graphs ([`Engine::run_graph`]) always take the tree
+//! walk.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -22,8 +19,8 @@ use skip_des::{FifoResource, IdAllocator, SimDuration, SimTime};
 use skip_hw::{KernelClass, Platform};
 use skip_llm::{AttentionImpl, GraphOptions, KernelSpec, OpNode, Workload};
 use skip_trace::{
-    CorrelationId, CpuOpEvent, EventSink, KernelClassTag, KernelEvent, NameId, OpId, ReplicaBlock,
-    RunSummary, RuntimeLaunchEvent, StreamId, ThreadId, Trace, TraceMeta,
+    CorrelationId, CpuOpEvent, EventSink, KernelClassTag, KernelEvent, NameId, OpId, RunSummary,
+    RuntimeLaunchEvent, StreamId, ThreadId, Trace, TraceMeta,
 };
 
 use crate::compiled::{
@@ -102,9 +99,10 @@ impl Engine {
         checked(self.run_sink(workload, mode, sink, true))
     }
 
-    /// [`Engine::run`] with the periodic-layer fast path disabled: every
-    /// operator is simulated individually. This is the differential-testing
-    /// reference — [`Engine::run`] must produce a byte-identical trace.
+    /// [`Engine::run`] with schedule replay disabled: the operator tree is
+    /// walked and every operator simulated individually. This is the
+    /// differential-testing reference — [`Engine::run`] must produce a
+    /// byte-identical trace.
     #[must_use]
     pub fn run_reference(&self, workload: &Workload, mode: ExecMode) -> Trace {
         let sink = Trace::new(self.meta_for(workload, mode));
@@ -178,7 +176,7 @@ impl Engine {
             let id = OpId::new(exec.op_ids.next_id());
             exec.cpu_now += self.platform.cpu.op_cost(skip_hw::OpComplexity::Simple);
             exec.launch_kernel(spec, 1.0);
-            exec.emit_cpu(CpuOpEvent {
+            exec.sink.record_cpu_op(CpuOpEvent {
                 id,
                 name,
                 thread: ThreadId::MAIN,
@@ -200,32 +198,10 @@ impl Engine {
         input_bytes: u64,
         meta: TraceMeta,
     ) -> Trace {
-        checked(self.run_graph_sink(graph, input_bytes, Trace::new(meta), true))
-    }
-
-    /// [`Engine::run_graph`] with the periodic-layer fast path disabled —
-    /// the differential-testing reference for graph-level workloads.
-    #[must_use]
-    pub fn run_graph_reference(
-        &self,
-        graph: &skip_llm::OperatorGraph,
-        input_bytes: u64,
-        meta: TraceMeta,
-    ) -> Trace {
-        checked(self.run_graph_sink(graph, input_bytes, Trace::new(meta), false))
-    }
-
-    fn run_graph_sink<S: EventSink>(
-        &self,
-        graph: &skip_llm::OperatorGraph,
-        input_bytes: u64,
-        sink: S,
-        fast: bool,
-    ) -> S {
-        let mut exec = Exec::new(&self.platform, sink);
+        let mut exec = Exec::new(&self.platform, Trace::new(meta));
         exec.h2d_input(input_bytes);
-        exec.exec_ops(graph.ops(), fast);
-        exec.into_sink()
+        exec.exec_ops(graph.ops());
+        checked(exec.into_sink())
     }
 
     /// Eager-style execution of the operator tree.
@@ -252,7 +228,7 @@ impl Engine {
             let sched = schedule::schedule_for(&graph, &self.platform, &self.platform_sig());
             exec.exec_schedule(&sched);
         } else {
-            exec.exec_ops(graph.ops(), false);
+            exec.exec_ops(graph.ops());
         }
         exec.into_sink()
     }
@@ -287,7 +263,7 @@ impl Engine {
             let arrival = launch_begin + self.platform.launch_overhead();
             for spec in &stream {
                 let corr = CorrelationId::new(exec.corr.next_id());
-                exec.emit_launch(RuntimeLaunchEvent {
+                exec.sink.record_launch(RuntimeLaunchEvent {
                     name: graph_launch,
                     thread: ThreadId::MAIN,
                     begin: launch_begin,
@@ -298,7 +274,7 @@ impl Engine {
                 let dur = exec.kernel_duration(spec, gemm_factor)
                     + SimDuration::from_nanos_f64(REPLAY_NODE_NS);
                 let busy = exec.stream.admit(arrival, dur);
-                exec.emit_kernel(
+                exec.sink.record_kernel(
                     KernelEvent {
                         name,
                         stream: StreamId::DEFAULT,
@@ -307,7 +283,6 @@ impl Engine {
                         correlation: corr,
                     },
                     kernel_class_tag(spec.work.class),
-                    arrival,
                 );
             }
         } else {
@@ -332,227 +307,6 @@ fn checked(trace: Trace) -> Trace {
     trace
 }
 
-/// A kernel recorded during a periodic-block probe: the emitted event plus
-/// the producer-side facts replication needs (class tag for summary sinks,
-/// stream arrival time for the periodicity fingerprint).
-struct ProbedKernel {
-    ev: KernelEvent,
-    tag: KernelClassTag,
-    arrival: SimTime,
-}
-
-/// Everything one simulated block of a periodic region produced, recorded
-/// so the remaining blocks can be replicated from it by constant offsets.
-struct BlockLog {
-    entry_cpu: SimTime,
-    entry_free: SimTime,
-    exit_cpu: SimTime,
-    exit_free: SimTime,
-    op_base: u64,
-    corr_base: u64,
-    cpu: Vec<CpuOpEvent>,
-    launches: Vec<RuntimeLaunchEvent>,
-    kernels: Vec<ProbedKernel>,
-}
-
-/// Per-block time offsets replication applies: CPU-side events shift by
-/// `cpu` per block, kernel events by `kernel`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shift {
-    cpu: SimDuration,
-    kernel: SimDuration,
-}
-
-/// A detected periodic region of a top-level operator list: `blocks`
-/// consecutive, structurally identical runs of `period` operators starting
-/// at index `start`.
-struct Periodic {
-    start: usize,
-    period: usize,
-    blocks: usize,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fnv_u64(h: u64, v: u64) -> u64 {
-    fnv_bytes(h, &v.to_le_bytes())
-}
-
-/// Shallow structural signature of a top-level operator: its own name,
-/// complexity and child/kernel counts, with no subtree traversal. Cheap
-/// enough to compute for every op on every run; collisions and
-/// subtree-only differences are caught by the deep-equality verification
-/// in [`detect_periodic`] before any replication happens.
-fn signature(op: &OpNode) -> u64 {
-    let mut h = fnv_bytes(FNV_OFFSET, op.name.as_bytes());
-    h = fnv_bytes(h, &[0xff, op.complexity as u8]);
-    h = fnv_u64(h, op.children.len() as u64);
-    fnv_u64(h, op.kernels.len() as u64)
-}
-
-/// Finds a periodic region of `ops` worth replicating, in O(n).
-///
-/// The candidate period is the most common distance between consecutive
-/// occurrences of the same shallow [`signature`] — in a transformer graph,
-/// the layer stride, since most ops occur once per layer. One scan then
-/// finds the longest run of signature matches at that period; a run of
-/// three or more full blocks is verified (and possibly shrunk) by deep
-/// operator equality, so a signature coincidence can cost a failed
-/// verification but never corrupt a trace. The detector is a heuristic:
-/// anything it misses simply falls back to full per-operator simulation.
-fn detect_periodic(ops: &[OpNode]) -> Option<Periodic> {
-    let n = ops.len();
-    if n < 6 {
-        return None;
-    }
-    let mut sigs = Vec::with_capacity(n);
-    for op in ops {
-        sigs.push(signature(op));
-    }
-    // Mode of the consecutive-occurrence distances, capped at n/3 (three
-    // blocks must fit). Ties prefer the smaller distance: shorter periods
-    // mean more blocks, hence more simulation skipped.
-    let mut last: HashMap<u64, usize> = HashMap::with_capacity(n);
-    let mut dist_count = vec![0u32; n / 3 + 1];
-    for (i, &s) in sigs.iter().enumerate() {
-        if let Some(j) = last.insert(s, i) {
-            let d = i - j;
-            if let Some(c) = dist_count.get_mut(d) {
-                *c += 1;
-            }
-        }
-    }
-    let period = (1..dist_count.len()).reduce(|best, d| {
-        if dist_count[d] > dist_count[best] {
-            d
-        } else {
-            best
-        }
-    })?;
-    if dist_count[period] == 0 {
-        return None;
-    }
-    // Longest run of sig[i] == sig[i + period]: a run covering
-    // [start, start + run + period) holds run/period + 1 full blocks.
-    let (mut best_start, mut best_run) = (0usize, 0usize);
-    let mut run_start = 0;
-    for i in 0..n - period {
-        if sigs[i] == sigs[i + period] {
-            if i + 1 - run_start > best_run {
-                best_start = run_start;
-                best_run = i + 1 - run_start;
-            }
-        } else {
-            run_start = i + 1;
-        }
-    }
-    let cand = Periodic {
-        start: best_start,
-        period,
-        blocks: best_run / period + 1,
-    };
-    if cand.blocks < 3 {
-        return None;
-    }
-    // Verify with deep equality, shrinking to the verified prefix.
-    let first = &ops[cand.start..cand.start + cand.period];
-    let mut blocks = 1;
-    while blocks < cand.blocks {
-        let s = cand.start + blocks * cand.period;
-        if ops[s..s + cand.period] == *first {
-            blocks += 1;
-        } else {
-            break;
-        }
-    }
-    (blocks >= 3).then_some(Periodic { blocks, ..cand })
-}
-
-/// Decides whether block `b` (simulated immediately after block `a` of the
-/// same periodic region) proves the timing recurrence periodic, and if so
-/// with which per-block shifts. Replication from `b` is *exact* in three
-/// cases:
-///
-/// * **Uniform** — every per-kernel (arrival→start, duration) pair of `b`
-///   matches `a` exactly. Arrivals are CPU-driven and shift by the block
-///   CPU time `Δc`, so matching gaps mean every kernel (and the stream
-///   free point) shifted by exactly `Δc` too: the whole simulation state
-///   entering the next block is the state entering `b` shifted by `Δc`,
-///   and the max-plus recurrence is shift-invariant.
-/// * **Saturated** — both blocks' kernels are back-to-back from the
-///   stream's entry free point (zero idle), and the per-block kernel sum
-///   `Δk` is at least `Δc`. Then every future start resolves to `prev
-///   end` (the arrival margin only grows, since kernels shift by `Δk ≥
-///   Δc` while arrivals shift by `Δc`), which replication reproduces by
-///   shifting kernels `Δk` per block.
-/// * **Kernel-free** — a block with no kernels never touches the stream;
-///   its CPU events replicate at `Δc` and the free point stays put.
-///
-/// Any other pattern (the transition region between the paper's CPU-bound
-/// and GPU-bound regimes) returns `None` and the caller keeps simulating.
-fn periodic_shift(a: &BlockLog, b: &BlockLog) -> Option<Shift> {
-    let dc = b.entry_cpu.duration_since(a.entry_cpu);
-    debug_assert_eq!(b.exit_cpu.duration_since(b.entry_cpu), dc);
-    debug_assert_eq!(a.cpu.len(), b.cpu.len());
-    debug_assert_eq!(a.kernels.len(), b.kernels.len());
-    if a.kernels.len() != b.kernels.len() {
-        return None;
-    }
-    if b.kernels.is_empty() {
-        return Some(Shift {
-            cpu: dc,
-            kernel: SimDuration::ZERO,
-        });
-    }
-    let durations_match =
-        a.kernels.iter().zip(&b.kernels).all(|(x, y)| {
-            x.ev.end.duration_since(x.ev.begin) == y.ev.end.duration_since(y.ev.begin)
-        });
-    if !durations_match {
-        return None;
-    }
-    let gaps_match =
-        a.kernels.iter().zip(&b.kernels).all(|(x, y)| {
-            x.ev.begin.duration_since(x.arrival) == y.ev.begin.duration_since(y.arrival)
-        });
-    if gaps_match {
-        debug_assert_eq!(b.exit_free.duration_since(b.entry_free), dc);
-        return Some(Shift {
-            cpu: dc,
-            kernel: dc,
-        });
-    }
-    let saturated = |l: &BlockLog| {
-        l.kernels[0].ev.begin == l.entry_free
-            && l.kernels.windows(2).all(|w| w[1].ev.begin == w[0].ev.end)
-    };
-    if saturated(a) && saturated(b) {
-        let dk = b.exit_free.duration_since(b.entry_free);
-        debug_assert_eq!(dk, a.exit_free.duration_since(a.entry_free));
-        if dk >= dc {
-            return Some(Shift {
-                cpu: dc,
-                kernel: dk,
-            });
-        }
-    }
-    None
-}
-
-/// `d × m`, exact in integer nanoseconds.
-fn scaled(d: SimDuration, m: u64) -> SimDuration {
-    SimDuration::from_nanos(d.as_nanos().checked_mul(m).expect("shift overflow"))
-}
-
 /// Mutable execution state shared by the run modes, generic over where the
 /// events go.
 struct Exec<'a, S: EventSink> {
@@ -567,8 +321,6 @@ struct Exec<'a, S: EventSink> {
     n_launch: NameId,
     n_memcpy: NameId,
     n_aten_to: NameId,
-    /// When probing a periodic block, emitted events are also logged here.
-    probe: Option<BlockLog>,
 }
 
 impl<'a, S: EventSink> Exec<'a, S> {
@@ -586,29 +338,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
             n_launch,
             n_memcpy,
             n_aten_to,
-            probe: None,
         }
-    }
-
-    fn emit_cpu(&mut self, ev: CpuOpEvent) {
-        if let Some(p) = self.probe.as_mut() {
-            p.cpu.push(ev);
-        }
-        self.sink.record_cpu_op(ev);
-    }
-
-    fn emit_launch(&mut self, ev: RuntimeLaunchEvent) {
-        if let Some(p) = self.probe.as_mut() {
-            p.launches.push(ev);
-        }
-        self.sink.record_launch(ev);
-    }
-
-    fn emit_kernel(&mut self, ev: KernelEvent, tag: KernelClassTag, arrival: SimTime) {
-        if let Some(p) = self.probe.as_mut() {
-            p.kernels.push(ProbedKernel { ev, tag, arrival });
-        }
-        self.sink.record_kernel(ev, tag);
     }
 
     /// Records the host→device input copy (`aten::to` + `cudaMemcpyAsync`).
@@ -619,7 +349,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         }
         let begin = self.cpu_now;
         let corr = CorrelationId::new(self.corr.next_id());
-        self.emit_launch(RuntimeLaunchEvent {
+        self.sink.record_launch(RuntimeLaunchEvent {
             name: self.n_memcpy,
             thread: ThreadId::MAIN,
             begin,
@@ -628,7 +358,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         });
         self.cpu_now += copy;
         let id = OpId::new(self.op_ids.next_id());
-        self.emit_cpu(CpuOpEvent {
+        self.sink.record_cpu_op(CpuOpEvent {
             id,
             name: self.n_aten_to,
             thread: ThreadId::MAIN,
@@ -642,7 +372,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         let begin = self.cpu_now;
         self.cpu_now += dur;
         let id = OpId::new(self.op_ids.next_id());
-        self.emit_cpu(CpuOpEvent {
+        self.sink.record_cpu_op(CpuOpEvent {
             id,
             name,
             thread: ThreadId::MAIN,
@@ -651,102 +381,11 @@ impl<'a, S: EventSink> Exec<'a, S> {
         });
     }
 
-    /// Executes a top-level operator list, replicating a detected periodic
-    /// region once its timing proves periodic. Returns the number of
-    /// blocks replicated rather than simulated (0 on the fallback path).
-    fn exec_ops(&mut self, ops: &[OpNode], fast: bool) -> u64 {
-        let rep = if fast { detect_periodic(ops) } else { None };
-        let Some(rep) = rep else {
-            for op in ops {
-                self.exec_op(op);
-            }
-            return 0;
-        };
-        for op in &ops[..rep.start] {
-            self.exec_op(op);
-        }
-        let mut replicated = 0;
-        let mut prev: Option<BlockLog> = None;
-        let mut done = 0;
-        while done < rep.blocks {
-            let s = rep.start + done * rep.period;
-            let log = self.exec_block(&ops[s..s + rep.period]);
-            done += 1;
-            if let Some(shift) = prev.as_ref().and_then(|p| periodic_shift(p, &log)) {
-                replicated = (rep.blocks - done) as u64;
-                self.replicate(&log, shift, replicated);
-                break;
-            }
-            prev = Some(log);
-        }
-        for op in &ops[rep.start + rep.blocks * rep.period..] {
-            self.exec_op(op);
-        }
-        replicated
-    }
-
-    /// Simulates one periodic block normally while logging everything it
-    /// emits plus its entry/exit simulation state.
-    fn exec_block(&mut self, ops: &[OpNode]) -> BlockLog {
-        debug_assert!(self.probe.is_none());
-        self.probe = Some(BlockLog {
-            entry_cpu: self.cpu_now,
-            entry_free: self.stream.free_at(),
-            exit_cpu: self.cpu_now,
-            exit_free: self.stream.free_at(),
-            op_base: self.op_ids.peek(),
-            corr_base: self.corr.peek(),
-            cpu: Vec::new(),
-            launches: Vec::new(),
-            kernels: Vec::new(),
-        });
+    /// Executes a top-level operator list, one operator after another.
+    fn exec_ops(&mut self, ops: &[OpNode]) {
         for op in ops {
             self.exec_op(op);
         }
-        let mut log = self.probe.take().expect("probe log in place");
-        log.exit_cpu = self.cpu_now;
-        log.exit_free = self.stream.free_at();
-        log
-    }
-
-    /// Emits `blocks` copies of the probed block shifted by multiples of
-    /// `shift`, then advances the simulation state (clock, stream free
-    /// point, ID allocators) to exactly where per-operator simulation
-    /// would have landed.
-    fn replicate(&mut self, log: &BlockLog, shift: Shift, blocks: u64) {
-        debug_assert!(self.probe.is_none());
-        let ops_per_block = log.cpu.len() as u64;
-        let corrs_per_block = log.launches.len() as u64;
-        // The allocators must sit exactly one block past the logged base,
-        // or the replicated IDs below would collide with live ones.
-        debug_assert_eq!(self.op_ids.peek(), log.op_base + ops_per_block);
-        debug_assert_eq!(self.corr.peek(), log.corr_base + corrs_per_block);
-        // One bulk call: aggregate sinks (RunSummary) fold the whole region
-        // in a single pass over the block; the trace sink extends its
-        // columns without per-event dispatch.
-        let kernels: Vec<(KernelEvent, KernelClassTag)> =
-            log.kernels.iter().map(|k| (k.ev, k.tag)).collect();
-        self.sink.record_replicas(
-            &ReplicaBlock {
-                cpu: &log.cpu,
-                launches: &log.launches,
-                kernels: &kernels,
-                cpu_shift: shift.cpu,
-                kernel_shift: shift.kernel,
-                op_stride: ops_per_block,
-                corr_stride: corrs_per_block,
-            },
-            blocks,
-        );
-        self.cpu_now += scaled(shift.cpu, blocks);
-        if !log.kernels.is_empty() {
-            // Zero-duration admission advances the stream's free point
-            // without recording a busy interval.
-            let free = log.exit_free + scaled(shift.kernel, blocks);
-            self.stream.admit(free, SimDuration::ZERO);
-        }
-        self.op_ids.advance(blocks * ops_per_block);
-        self.corr.advance(blocks * corrs_per_block);
     }
 
     /// Replays a pre-priced schedule: the workload fast path. Performs
@@ -772,7 +411,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
                 }
                 Step::Close => {
                     let (id, name, begin) = open.pop().expect("balanced schedule");
-                    self.emit_cpu(CpuOpEvent {
+                    self.sink.record_cpu_op(CpuOpEvent {
                         id,
                         name,
                         thread: ThreadId::MAIN,
@@ -784,7 +423,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
                     let launch_begin = self.cpu_now;
                     self.cpu_now += sched.launch_cost;
                     let corr = CorrelationId::new(self.corr.next_id());
-                    self.emit_launch(RuntimeLaunchEvent {
+                    self.sink.record_launch(RuntimeLaunchEvent {
                         name: self.n_launch,
                         thread: ThreadId::MAIN,
                         begin: launch_begin,
@@ -793,7 +432,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
                     });
                     let arrival = launch_begin + sched.launch_overhead;
                     let busy = self.stream.admit(arrival, dur);
-                    self.emit_kernel(
+                    self.sink.record_kernel(
                         KernelEvent {
                             name: names[name as usize],
                             stream: StreamId::DEFAULT,
@@ -802,7 +441,6 @@ impl<'a, S: EventSink> Exec<'a, S> {
                             correlation: corr,
                         },
                         tag,
-                        arrival,
                     );
                 }
             }
@@ -823,7 +461,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         for kernel in &op.kernels {
             self.launch_kernel(kernel, 1.0);
         }
-        self.emit_cpu(CpuOpEvent {
+        self.sink.record_cpu_op(CpuOpEvent {
             id,
             name,
             thread: ThreadId::MAIN,
@@ -839,7 +477,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         self.cpu_now += self.platform.cpu.launch_call_cost();
         let launch_end = self.cpu_now;
         let corr = CorrelationId::new(self.corr.next_id());
-        self.emit_launch(RuntimeLaunchEvent {
+        self.sink.record_launch(RuntimeLaunchEvent {
             name: self.n_launch,
             thread: ThreadId::MAIN,
             begin: launch_begin,
@@ -854,7 +492,7 @@ impl<'a, S: EventSink> Exec<'a, S> {
         let arrival = launch_begin + self.platform.launch_overhead();
         let dur = self.kernel_duration(spec, gemm_factor);
         let busy = self.stream.admit(arrival, dur);
-        self.emit_kernel(
+        self.sink.record_kernel(
             KernelEvent {
                 name,
                 stream: StreamId::DEFAULT,
@@ -863,7 +501,6 @@ impl<'a, S: EventSink> Exec<'a, S> {
                 correlation: corr,
             },
             kernel_class_tag(spec.work.class),
-            arrival,
         );
     }
 
@@ -1060,89 +697,5 @@ mod tests {
             .fold(SimDuration::ZERO, |acc, c| acc
                 + s.class_busy(kernel_class_tag(c)))
         );
-    }
-
-    /// A hand-built graph of identical layer blocks must take the
-    /// replication path and still produce the trace full simulation would.
-    #[test]
-    fn synthetic_periodic_graph_replicates_exactly() {
-        use skip_hw::KernelWork;
-        use skip_llm::OperatorGraph;
-
-        let layer = || {
-            OpNode::composite(
-                "layer",
-                vec![
-                    OpNode::simple(
-                        "aten::linear",
-                        vec![KernelSpec::new("gemm_64", KernelWork::gemm(64, 64, 64, 2))],
-                    ),
-                    OpNode::view("aten::view"),
-                    OpNode::simple(
-                        "aten::gelu",
-                        vec![KernelSpec::new(
-                            "gelu_4096",
-                            KernelWork::elementwise(4096, 2, 8.0, 2),
-                        )],
-                    ),
-                ],
-            )
-        };
-        for layers in [3usize, 8, 24] {
-            let ops: Vec<OpNode> = (0..layers).map(|_| layer()).collect();
-            let graph = OperatorGraph::from_ops(ops);
-            for platform in Platform::paper_trio() {
-                let engine = Engine::new(platform);
-                let meta = TraceMeta::default();
-                let fast = engine.run_graph(&graph, 1 << 20, meta.clone());
-                let reference = engine.run_graph_reference(&graph, 1 << 20, meta);
-                fast.validate().unwrap();
-                let fast_json = serde_json::to_string(&fast).unwrap();
-                let ref_json = serde_json::to_string(&reference).unwrap();
-                assert_eq!(fast_json, ref_json, "layers={layers}");
-            }
-        }
-    }
-
-    /// The detector itself: periodic runs found, aperiodic input rejected,
-    /// and the probe machinery replicates at least one block on a
-    /// sufficiently long periodic list.
-    #[test]
-    fn periodic_detection_finds_layer_runs() {
-        let a = || OpNode::view("a");
-        let b = || OpNode::view("b");
-        // aaa bababab c → best region is the 4-block "ba" run.
-        let ops = vec![a(), a(), a(), b(), a(), b(), a(), b(), a(), b(), a()];
-        let rep = detect_periodic(&ops).expect("periodic run detected");
-        assert_eq!((rep.start, rep.period), (2, 2));
-        assert!(rep.blocks >= 4);
-        // All-distinct ops: nothing to replicate.
-        let distinct: Vec<OpNode> = (0..12).map(|i| OpNode::view(format!("op{i}"))).collect();
-        assert!(detect_periodic(&distinct).is_none());
-        // Too short for three blocks.
-        assert!(detect_periodic(&[a(), a(), a(), a(), a()]).is_none());
-    }
-
-    #[test]
-    fn replication_engages_on_periodic_graphs() {
-        use skip_hw::KernelWork;
-
-        let layer = || {
-            OpNode::simple(
-                "aten::linear",
-                vec![KernelSpec::new("gemm_32", KernelWork::gemm(32, 32, 32, 2))],
-            )
-        };
-        let ops: Vec<OpNode> = (0..16).map(|_| layer()).collect();
-        let platform = Platform::intel_h100();
-        let mut exec = Exec::new(&platform, Trace::new(TraceMeta::default()));
-        let replicated = exec.exec_ops(&ops, true);
-        assert!(
-            replicated >= 12,
-            "expected most of 16 identical layers replicated, got {replicated}"
-        );
-        let trace = exec.into_sink();
-        trace.validate().unwrap();
-        assert_eq!(trace.kernels().len(), 16);
     }
 }

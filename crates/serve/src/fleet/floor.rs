@@ -32,8 +32,8 @@ use crate::observe::SloReport;
 use crate::policy::ReplicaState;
 use crate::stop::StopCondition;
 use crate::unified::{
-    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta,
-    ReplicaSet, UnifiedFloor,
+    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta, ReplicaSet,
+    UnifiedFloor,
 };
 
 /// Runs the fleet simulation, returning the scalar report.

@@ -881,8 +881,8 @@ mod tests {
         fn policy_strategy() -> impl Strategy<Value = Policy> {
             // Selector + prop_map in place of `prop_oneof!`: draw parameters
             // for every variant, keep the selected one.
-            (0u32..3, 1u32..9, 5u64..81, 16u32..129).prop_map(
-                |(kind, batch, ms, chunk_tokens)| match kind {
+            (0u32..3, 1u32..9, 5u64..81, 16u32..129).prop_map(|(kind, batch, ms, chunk_tokens)| {
+                match kind {
                     0 => Policy::Continuous { max_batch: batch },
                     1 => Policy::Static {
                         batch_size: batch,
@@ -892,8 +892,8 @@ mod tests {
                         max_batch: batch,
                         chunk_tokens,
                     },
-                },
-            )
+                }
+            })
         }
 
         fn router_strategy() -> impl Strategy<Value = RouterPolicy> {

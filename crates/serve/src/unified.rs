@@ -93,7 +93,10 @@ pub(crate) enum Event {
     /// A replica finished its current iteration/job.
     IterationDone(usize),
     /// The flush timer armed for `queue` expired (static batching).
-    FlushTimeout { queue: usize, generation: u64 },
+    FlushTimeout {
+        queue: usize,
+        generation: u64,
+    },
     /// The in-flight transfer on `dst`'s handoff link landed.
     HandoffDone(usize),
     /// Autoscaler decision point.
@@ -453,8 +456,7 @@ impl UnifiedFloor {
     /// Starts the next iteration on replica `r` if it is idle, routable,
     /// and has work (targeted wake-up).
     fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize) {
-        if self.states[r].busy
-            || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
+        if self.states[r].busy || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
         {
             return;
         }

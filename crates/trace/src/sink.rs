@@ -23,48 +23,8 @@
 use skip_des::{SimDuration, SimTime};
 
 use crate::event::{CpuOpEvent, KernelEvent, RuntimeLaunchEvent};
-use crate::ids::{CorrelationId, NameId, OpId};
+use crate::ids::NameId;
 use crate::trace::Trace;
-
-/// `d × m`, exact in integer nanoseconds.
-///
-/// # Panics
-///
-/// Panics on overflow — a replicated region long enough to overflow a
-/// `u64` of nanoseconds is a simulation bug, not a rounding case.
-#[must_use]
-pub(crate) fn scaled(d: SimDuration, m: u64) -> SimDuration {
-    SimDuration::from_nanos(d.as_nanos().checked_mul(m).expect("replica shift overflow"))
-}
-
-/// One simulated block of a periodic region, handed to
-/// [`EventSink::record_replicas`] so the sink can materialize `blocks`
-/// further copies shifted by constant per-block offsets.
-///
-/// Copy `m` (1-based) of the block shifts CPU-side events (operators and
-/// launches) by `m × cpu_shift`, kernel events by `m × kernel_shift`, CPU
-/// operator ids by `m × op_stride` and correlation ids by
-/// `m × corr_stride`. The producer guarantees the shifts are exact (see
-/// the periodicity analysis in the runtime crate), so a sink may exploit
-/// the structure — e.g. aggregate a whole block in one pass — as long as
-/// it lands in the same state the per-event default would reach.
-pub struct ReplicaBlock<'a> {
-    /// CPU operator events of the probed block, in emission order.
-    pub cpu: &'a [CpuOpEvent],
-    /// Runtime launch events of the probed block, in emission order.
-    pub launches: &'a [RuntimeLaunchEvent],
-    /// Kernel events of the probed block with their class tags, in
-    /// emission order.
-    pub kernels: &'a [(KernelEvent, KernelClassTag)],
-    /// Per-block time shift of CPU-side events.
-    pub cpu_shift: SimDuration,
-    /// Per-block time shift of kernel events.
-    pub kernel_shift: SimDuration,
-    /// Per-block increment of CPU operator ids.
-    pub op_stride: u64,
-    /// Per-block increment of correlation ids.
-    pub corr_stride: u64,
-}
 
 /// Opaque kernel-class slot for per-class busy-time attribution.
 ///
@@ -113,50 +73,6 @@ pub trait EventSink {
     fn record_launch(&mut self, ev: RuntimeLaunchEvent);
     /// Records a kernel event, tagged with its class slot.
     fn record_kernel(&mut self, ev: KernelEvent, class: KernelClassTag);
-
-    /// Records `blocks` shifted copies of a probed periodic block (the
-    /// engine's layer-replication fast path).
-    ///
-    /// The default implementation replays every copy through the
-    /// per-event `record_*` methods; sinks with aggregate state override
-    /// it to process a whole region in one pass over the block. Any
-    /// override must leave the sink in exactly the state the default
-    /// would.
-    fn record_replicas(&mut self, block: &ReplicaBlock<'_>, blocks: u64) {
-        for m in 1..=blocks {
-            let dc = scaled(block.cpu_shift, m);
-            let dk = scaled(block.kernel_shift, m);
-            for ev in block.cpu {
-                self.record_cpu_op(CpuOpEvent {
-                    id: OpId::new(ev.id.get() + m * block.op_stride),
-                    begin: ev.begin + dc,
-                    end: ev.end + dc,
-                    ..*ev
-                });
-            }
-            for ev in block.launches {
-                self.record_launch(RuntimeLaunchEvent {
-                    correlation: CorrelationId::new(ev.correlation.get() + m * block.corr_stride),
-                    begin: ev.begin + dc,
-                    end: ev.end + dc,
-                    ..*ev
-                });
-            }
-            for &(ev, tag) in block.kernels {
-                self.record_kernel(
-                    KernelEvent {
-                        correlation: CorrelationId::new(
-                            ev.correlation.get() + m * block.corr_stride,
-                        ),
-                        begin: ev.begin + dk,
-                        end: ev.end + dk,
-                        ..ev
-                    },
-                    tag,
-                );
-            }
-        }
-    }
 }
 
 /// The full recorder: events land in the trace unchanged. The class tag is
@@ -176,10 +92,6 @@ impl EventSink for Trace {
 
     fn record_kernel(&mut self, ev: KernelEvent, _class: KernelClassTag) {
         self.push_kernel(ev);
-    }
-
-    fn record_replicas(&mut self, block: &ReplicaBlock<'_>, blocks: u64) {
-        self.push_replicas(block, blocks);
     }
 }
 
@@ -307,38 +219,6 @@ impl EventSink for RunSummary {
         self.see(ev.begin, ev.end);
         self.class_busy[class.slot()] += ev.end.duration_since(ev.begin);
         self.kernels += 1;
-    }
-
-    /// One pass over the block instead of `blocks` replays: the shifts are
-    /// non-negative, so copy 1 holds every replica's minimum begin and copy
-    /// `blocks` every maximum end, and per-class busy time scales linearly
-    /// (shifting never changes a duration). Exact in integer nanoseconds,
-    /// so the aggregates match the per-event default bit for bit.
-    fn record_replicas(&mut self, block: &ReplicaBlock<'_>, blocks: u64) {
-        if blocks == 0 {
-            return;
-        }
-        let dc_first = scaled(block.cpu_shift, 1);
-        let dc_last = scaled(block.cpu_shift, blocks);
-        let dk_first = scaled(block.kernel_shift, 1);
-        let dk_last = scaled(block.kernel_shift, blocks);
-        for ev in block.cpu {
-            let first = ev.begin + dc_first;
-            self.first_cpu_begin = Some(self.first_cpu_begin.map_or(first, |f| f.min(first)));
-            self.see(first, ev.end + dc_last);
-        }
-        for ev in block.launches {
-            self.see(ev.begin + dc_first, ev.end + dc_last);
-        }
-        for &(ev, tag) in block.kernels {
-            let last = ev.end + dk_last;
-            self.last_kernel_end = Some(self.last_kernel_end.map_or(last, |l| l.max(last)));
-            self.see(ev.begin + dk_first, last);
-            self.class_busy[tag.slot()] += scaled(ev.end.duration_since(ev.begin), blocks);
-        }
-        self.cpu_ops += blocks * block.cpu.len() as u64;
-        self.launches += blocks * block.launches.len() as u64;
-        self.kernels += blocks * block.kernels.len() as u64;
     }
 }
 

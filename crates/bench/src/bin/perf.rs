@@ -42,6 +42,11 @@
 //!   for. `--budget-ms N` puts an absolute wall-clock cap on this entry
 //!   and the two `*_100k` entries (the CI smoke), independent of the
 //!   relative baseline gates.
+//! * `chrome_export` — the Chrome-trace export of one traced four-replica
+//!   serving run, iterated; the run and its timeline conversion happen
+//!   before the clock starts. Events are exported bytes, so the
+//!   throughput gate reads bytes per second, and a return to an exporter
+//!   that builds a value tree first fails it.
 //!
 //! Flags: `--threads N` (parallel worker count; default 4), `--out PATH`
 //! (default `BENCH_SUITE.json`), `--baseline PATH` (print per-entry deltas
@@ -58,13 +63,15 @@ use skip_bench::harness;
 use skip_core::ProfileReport;
 use skip_hw::Platform;
 use skip_llm::{zoo, Phase, Workload};
+use skip_mem::OffloadPolicy;
 use skip_runtime::{Engine, ExecMode};
 use skip_serve::fleet::plan;
 use skip_serve::{
-    simulate_fleet, simulate_replicas, ArrivalProcess, FleetBatchPolicy, FleetConfig,
-    FleetRouterPolicy, FleetSpec, LatencyModel, Policy, RouterPolicy, ServingConfig, SloTargets,
-    SweepStats,
+    simulate_fleet, simulate_replicas, simulate_traced, ArrivalProcess, FleetBatchPolicy,
+    FleetConfig, FleetRouterPolicy, FleetSpec, KvCacheConfig, LatencyModel, Policy, RouterPolicy,
+    ServingConfig, SloTargets, SweepStats,
 };
+use skip_trace::{chrome, Trace};
 
 /// One timed workload.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -310,6 +317,37 @@ fn fleet_100k() -> Option<u64> {
     Some(u64::from(r.completed))
 }
 
+/// The timeline of one traced serving run: four Llama-2-7B replicas on
+/// GH200 behind JSQ under a KV pool tight enough to preempt, so the export
+/// carries lifecycle slices, preempt→resume flows and counter tracks.
+fn chrome_export_timeline() -> Trace {
+    let cfg = ServingConfig {
+        platform: Platform::gh200(),
+        model: zoo::llama2_7b(),
+        policy: Policy::Continuous { max_batch: 64 },
+        requests: 400,
+        arrival_rate_per_s: 18.0,
+        prompt_len: 1024,
+        new_tokens: 128,
+        seed: 13,
+        kv: Some(KvCacheConfig::with_blocks(2_200, OffloadPolicy::Auto)),
+        slo: SloTargets::default(),
+        router: RouterPolicy::JoinShortestQueue,
+    };
+    let (report, trace) = simulate_traced(&cfg, 4);
+    assert_eq!(report.completed, 400);
+    assert!(report.preemptions > 0, "the KV pool must preempt");
+    trace.to_trace()
+}
+
+/// Exports `timeline` [`ITERS`] times, reporting the bytes written.
+fn chrome_export(timeline: &Trace) -> Option<u64> {
+    let bytes = (0..ITERS)
+        .map(|_| chrome::to_chrome_trace(timeline).len() as u64)
+        .sum();
+    Some(bytes)
+}
+
 /// The `plan_sweep` planner: the capacity experiment's reference traffic
 /// envelope opened up to a 12-replica candidate space (1260 candidates vs
 /// the experiment's 132). At this scale the sweep only fits the CI wall
@@ -479,6 +517,9 @@ fn main() {
         );
     }
     entries.push(plan_entry);
+
+    let timeline = chrome_export_timeline();
+    entries.push(timed("chrome_export", 1, || chrome_export(&timeline)));
 
     if budget_ms > 0.0 {
         let over: Vec<_> = entries

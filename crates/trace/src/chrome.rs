@@ -10,16 +10,31 @@
 //! as Perfetto counter tracks — the serving simulator uses them for queue
 //! depth, batch size, and KV-pool occupancy time series.
 //!
+//! [`to_chrome_trace`] writes the JSON text straight into one pre-sized
+//! `String`: no per-event structs, no `serde_json::Value` tree, no owned
+//! copy of any name. Its output is byte-identical to the earlier exporter,
+//! which derived `Serialize` on an event struct and rendered the resulting
+//! `Value` tree with the vendored `serde_json`. That exporter survives as a
+//! test-only oracle (`chrome/oracle.rs`), and a property test over random
+//! traces (escaped and multi-byte names, non-finite counter values,
+//! zero-length spans, `u64::MAX` timestamps) holds the two to byte
+//! equality.
+//!
 //! [`from_chrome_trace`] parses the format back, which means the SKIP
 //! profiler can consume timestamp-faithful Chrome-trace exports of *real*
 //! PyTorch runs, not only simulated ones.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+
+use serde::Deserialize;
 use skip_des::{SimDuration, SimTime};
 
 use crate::event::{CounterEvent, CpuOpEvent, KernelEvent, RuntimeLaunchEvent};
 use crate::ids::{CorrelationId, OpId, StreamId, ThreadId};
 use crate::trace::{Trace, TraceMeta};
+
+#[cfg(test)]
+mod oracle;
 
 /// Process IDs used in the exported timeline: CPU events under one pid, GPU
 /// events under another, mirroring PyTorch Profiler's layout.
@@ -30,64 +45,33 @@ const GPU_PID: u32 = 2;
 /// from the slice tracks.
 const COUNTER_PID: u32 = 3;
 
-#[derive(Serialize, Deserialize)]
+/// The `args` object of an imported event.
+#[derive(Deserialize)]
 struct EventArgs {
-    #[serde(skip_serializing_if = "Option::is_none")]
     correlation: Option<u64>,
     /// Counter sample value (`ph: "C"` events only).
-    #[serde(skip_serializing_if = "Option::is_none")]
     value: Option<f64>,
 }
 
-#[derive(Serialize, Deserialize)]
-struct ChromeEvent<'a> {
-    name: &'a str,
-    cat: &'a str,
-    ph: &'a str,
-    ts: f64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    dur: Option<f64>,
-    pid: u32,
-    tid: u32,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    id: Option<u64>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    bp: Option<&'a str>,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    args: Option<EventArgs>,
-}
-
-impl<'a> ChromeEvent<'a> {
-    fn complete(
-        name: &'a str,
-        cat: &'a str,
-        ts: f64,
-        dur: f64,
-        pid: u32,
-        tid: u32,
-        correlation: Option<u64>,
-    ) -> Self {
-        ChromeEvent {
-            name,
-            cat,
-            ph: "X",
-            ts,
-            dur: Some(dur),
-            pid,
-            tid,
-            id: None,
-            bp: None,
-            args: correlation.map(|c| EventArgs {
-                correlation: Some(c),
-                value: None,
-            }),
-        }
-    }
-}
+/// Bytes reserved per exported event. A kernel slice with a 40-byte name
+/// and microsecond timestamps takes about 140 bytes, a flow event about 90;
+/// pages of the reservation that are never written are never touched.
+const EVENT_BYTES_HINT: usize = 128;
 
 /// Serializes `trace` to a Chrome-trace JSON string.
 ///
 /// Timestamps are microseconds (floats) per the format; durations likewise.
+/// Events appear in this order: CPU operators, each launch followed by its
+/// flow start, each kernel followed by its flow end, then counter samples.
+/// Every object lists `name, cat, ph, ts, dur, pid, tid, id, bp, args` in
+/// that order, leaving out the fields its kind does not carry.
+///
+/// The text is written directly, with the same bytes the vendored
+/// `serde_json` produced from a derived `Serialize`. Floats print through
+/// `{}`, which is `f64`'s `Display`: the very formatter behind the
+/// `f.to_string()` that `serde_json` calls, giving the shortest decimal
+/// that round-trips and never an exponent. Non-finite counter values print
+/// `null`, as there. Strings are escaped by `serde_json`'s rules.
 ///
 /// # Example
 ///
@@ -100,86 +84,115 @@ impl<'a> ChromeEvent<'a> {
 /// ```
 #[must_use]
 pub fn to_chrome_trace(trace: &Trace) -> String {
-    let mut events: Vec<ChromeEvent<'_>> = Vec::with_capacity(trace.len() * 2);
-
+    let (launches, kernels) = (trace.launches(), trace.kernels());
+    let events =
+        trace.cpu_ops().len() + 2 * (launches.len() + kernels.len()) + trace.counters().len();
+    let mut out = String::with_capacity(2 + events * EVENT_BYTES_HINT);
+    out.push('[');
     for op in trace.cpu_ops() {
-        events.push(ChromeEvent::complete(
-            trace.name(op.name),
-            "cpu_op",
-            op.begin.as_micros_f64(),
-            op.duration().as_micros_f64(),
-            CPU_PID,
-            op.thread.get(),
-            None,
-        ));
+        write_head(&mut out, trace.name(op.name), "cpu_op", "X", op.begin);
+        write_dur(&mut out, op.duration());
+        let _ = write!(out, ",\"pid\":{CPU_PID},\"tid\":{}}},", op.thread.get());
     }
-    for l in trace.launches() {
-        events.push(ChromeEvent::complete(
-            trace.name(l.name),
-            "cuda_runtime",
-            l.begin.as_micros_f64(),
-            l.duration().as_micros_f64(),
-            CPU_PID,
-            l.thread.get(),
-            Some(l.correlation.get()),
-        ));
+    for l in launches.iter() {
+        let (tid, corr) = (l.thread.get(), l.correlation.get());
+        write_head(&mut out, trace.name(l.name), "cuda_runtime", "X", l.begin);
+        write_dur(&mut out, l.duration());
+        let _ = write!(
+            out,
+            ",\"pid\":{CPU_PID},\"tid\":{tid},\"args\":{{\"correlation\":{corr}}}}},"
+        );
         // Flow start at the launch call.
-        events.push(ChromeEvent {
-            name: "launch",
-            cat: "ac2g",
-            ph: "s",
-            ts: l.begin.as_micros_f64(),
-            dur: None,
-            pid: CPU_PID,
-            tid: l.thread.get(),
-            id: Some(l.correlation.get()),
-            bp: None,
-            args: None,
-        });
+        write_head(&mut out, "launch", "ac2g", "s", l.begin);
+        let _ = write!(out, ",\"pid\":{CPU_PID},\"tid\":{tid},\"id\":{corr}}},");
     }
-    for k in trace.kernels() {
-        events.push(ChromeEvent::complete(
-            trace.name(k.name),
-            "kernel",
-            k.begin.as_micros_f64(),
-            k.duration().as_micros_f64(),
-            GPU_PID,
-            k.stream.get(),
-            Some(k.correlation.get()),
-        ));
+    for k in kernels.iter() {
+        let (tid, corr) = (k.stream.get(), k.correlation.get());
+        write_head(&mut out, trace.name(k.name), "kernel", "X", k.begin);
+        write_dur(&mut out, k.duration());
+        let _ = write!(
+            out,
+            ",\"pid\":{GPU_PID},\"tid\":{tid},\"args\":{{\"correlation\":{corr}}}}},"
+        );
         // Flow end binding to the enclosing kernel slice.
-        events.push(ChromeEvent {
-            name: "launch",
-            cat: "ac2g",
-            ph: "f",
-            ts: k.begin.as_micros_f64(),
-            dur: None,
-            pid: GPU_PID,
-            tid: k.stream.get(),
-            id: Some(k.correlation.get()),
-            bp: Some("e"),
-            args: None,
-        });
+        write_head(&mut out, "launch", "ac2g", "f", k.begin);
+        let _ = write!(
+            out,
+            ",\"pid\":{GPU_PID},\"tid\":{tid},\"id\":{corr},\"bp\":\"e\"}},"
+        );
     }
     for c in trace.counters() {
-        events.push(ChromeEvent {
-            name: &c.track,
-            cat: "counter",
-            ph: "C",
-            ts: c.at.as_micros_f64(),
-            dur: None,
-            pid: COUNTER_PID,
-            tid: 0,
-            id: None,
-            bp: None,
-            args: Some(EventArgs {
-                correlation: None,
-                value: Some(c.value),
-            }),
-        });
+        write_head(&mut out, &c.track, "counter", "C", c.at);
+        let _ = write!(
+            out,
+            ",\"pid\":{COUNTER_PID},\"tid\":0,\"args\":{{\"value\":"
+        );
+        write_f64(&mut out, c.value);
+        out.push_str("}},");
     }
+    // Each event ends in a separator; the last one gives way to the bracket.
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push(']');
+    out
+}
 
-    serde_json::to_string(&events).expect("chrome trace serialization cannot fail")
+/// Writes `{"name":…,"cat":…,"ph":…,"ts":…`, the prefix every event shares.
+/// `cat` and `ph` are exporter constants that need no escaping.
+fn write_head(out: &mut String, name: &str, cat: &str, ph: &str, at: SimTime) {
+    out.push_str("{\"name\":");
+    write_escaped(out, name);
+    out.push_str(",\"cat\":\"");
+    out.push_str(cat);
+    out.push_str("\",\"ph\":\"");
+    out.push_str(ph);
+    out.push_str("\",\"ts\":");
+    write_f64(out, at.as_micros_f64());
+}
+
+/// Writes the `dur` field of a complete (`ph: "X"`) slice.
+fn write_dur(out: &mut String, dur: SimDuration) {
+    out.push_str(",\"dur\":");
+    write_f64(out, dur.as_micros_f64());
+}
+
+/// Writes `f` as `serde_json` does: `Display` when finite, else `null`.
+/// (Writing into a `String` cannot fail, so the `fmt::Result`s in this
+/// module are discarded.)
+fn write_f64(out: &mut String, f: f64) {
+    if f.is_finite() {
+        let _ = write!(out, "{f}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Writes `s` as a JSON string literal with `serde_json`'s escapes: `"`
+/// and `\` backslashed, `\n \r \t \b \f` by letter, other bytes below 0x20
+/// as `\u00XX`, everything else (DEL and multi-byte UTF-8 included) as is.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
 }
 
 /// Errors produced by [`from_chrome_trace`].
@@ -198,6 +211,12 @@ pub enum ImportError {
         /// The counter track's name.
         name: String,
     },
+    /// A complete (`ph: "X"`) event ends past the last representable
+    /// nanosecond (`u64::MAX`).
+    EndOverflow {
+        /// The event's name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for ImportError {
@@ -210,6 +229,12 @@ impl std::fmt::Display for ImportError {
             ImportError::MissingCounterValue { name } => {
                 write!(f, "counter event {name} lacks args.value")
             }
+            ImportError::EndOverflow { name } => {
+                write!(
+                    f,
+                    "event {name} ends past the last representable nanosecond"
+                )
+            }
         }
     }
 }
@@ -218,9 +243,9 @@ impl std::error::Error for ImportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ImportError::Json(e) => Some(e),
-            ImportError::MissingCorrelation { .. } | ImportError::MissingCounterValue { .. } => {
-                None
-            }
+            ImportError::MissingCorrelation { .. }
+            | ImportError::MissingCounterValue { .. }
+            | ImportError::EndOverflow { .. } => None,
         }
     }
 }
@@ -246,7 +271,8 @@ fn micros_to_time(us: f64) -> SimTime {
 /// # Errors
 ///
 /// Returns [`ImportError`] on malformed JSON, on runtime/kernel events
-/// without a correlation ID, or on counter events without a value.
+/// without a correlation ID, on counter events without a value, or on a
+/// complete event whose `ts + dur` overflows the nanosecond clock.
 ///
 /// # Example
 ///
@@ -298,7 +324,11 @@ pub fn from_chrome_trace(json: &str) -> Result<Trace, ImportError> {
             continue; // flows, metadata
         }
         let begin = micros_to_time(ev.ts);
-        let end = begin + SimDuration::from_nanos_f64(ev.dur * 1e3);
+        let dur = SimDuration::from_nanos_f64(ev.dur * 1e3);
+        let end = begin.as_nanos().checked_add(dur.as_nanos());
+        let Some(end) = end.map(SimTime::from_nanos) else {
+            return Err(ImportError::EndOverflow { name: ev.name });
+        };
         match ev.cat.as_str() {
             "cpu_op" => {
                 let name = trace.intern(&ev.name);
@@ -484,6 +514,49 @@ mod tests {
             {"name":"gc","cat":"python_gc","ph":"X","ts":0.0,"dur":1.0,"pid":1,"tid":0}
         ]"#;
         assert!(from_chrome_trace(json).unwrap().is_empty());
+    }
+
+    #[test]
+    fn import_rejects_spans_ending_past_the_clock() {
+        // `ts` saturates the clock at u64::MAX ns; adding `dur` used to
+        // panic with "SimTime + SimDuration overflow".
+        let json =
+            r#"[{"name":"big","cat":"cpu_op","ph":"X","ts":1e20,"dur":1e20,"pid":1,"tid":0}]"#;
+        match from_chrome_trace(json) {
+            Err(e @ ImportError::EndOverflow { .. }) => {
+                assert_eq!(
+                    e.to_string(),
+                    "event big ends past the last representable nanosecond"
+                );
+            }
+            other => panic!("expected EndOverflow, got {other:?}"),
+        }
+        // A saturated zero-length span still fits.
+        let json = r#"[{"name":"edge","cat":"cpu_op","ph":"X","ts":1e20,"dur":0,"pid":1,"tid":0}]"#;
+        let back = from_chrome_trace(json).unwrap();
+        assert_eq!(back.cpu_ops()[0].end, SimTime::from_nanos(u64::MAX));
+    }
+
+    #[test]
+    fn export_matches_the_serde_oracle() {
+        let mut t = sample();
+        t.push_counter(CounterEvent {
+            track: "kv \"used\"\n".into(),
+            at: SimTime::from_nanos(u64::MAX),
+            value: f64::NAN,
+        });
+        t.push_counter(CounterEvent {
+            track: "queue_depth".into(),
+            at: SimTime::from_nanos(1_234_567),
+            value: -0.1,
+        });
+        assert_eq!(to_chrome_trace(&t), oracle::to_chrome_trace_via_serde(&t));
+        assert!(to_chrome_trace(&t).contains("\"value\":null"));
+        let empty = Trace::default();
+        assert_eq!(
+            to_chrome_trace(&empty),
+            oracle::to_chrome_trace_via_serde(&empty)
+        );
     }
 
     #[test]

@@ -49,6 +49,16 @@ chunked_fleet_out=$(cargo run --release -p skip-suite --bin skip -- serve --mode
 grep -q "completed    : 40 requests" <<<"$chunked_fleet_out"
 grep -q "KV handoff" <<<"$chunked_fleet_out"
 
+echo "== skip serve CLI (fleet mode rejects a single-node flag instead of ignoring it) =="
+# the command must fail, so capture it inside `if` (set -e does not fire
+# there), then grep the captured output for the named flag
+if reject_out=$(cargo run --release -p skip-suite --bin skip -- serve --model gpt2 \
+  --fleet intel_h100:2 --kv-blocks 4 2>&1); then
+  echo "skip serve --fleet accepted --kv-blocks"
+  exit 1
+fi
+grep -q "^error: --kv-blocks" <<<"$reject_out"
+
 echo "== skip plan CLI (capacity planner frontier over the candidate space) =="
 plan_out=$(cargo run --release -p skip-suite --bin skip -- plan --model gpt2 \
   --qps 80 --requests 48 --seq 128 --tokens 4 --max-replicas 3 \

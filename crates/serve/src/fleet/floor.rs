@@ -1,15 +1,16 @@
 //! The fleet serving front: a thin constructor over the unified floor.
 //!
 //! This module owns the public fleet API — [`simulate_fleet`],
-//! [`simulate_fleet_traced`], and the bounded variant. The event loop
-//! itself lives in `crate::unified`; this front builds the full-strength
-//! [`ReplicaSet`](crate::unified::ReplicaSet) the single-node front
-//! degenerates:
+//! [`simulate_fleet_traced`], and the bounded variant. It builds the same
+//! `ReplicaSet` and floor as the single-node front, from the fleet's own
+//! groups and with the batch policy sized by [`FleetConfig::max_batch`],
+//! and records a [`FleetTrace`]. The event loop itself lives in
+//! `crate::unified`. What the groups switch on there:
 //!
 //! * each replica prices iterations through its **own platform's**
-//!   [`LatencyModel`], so a gh200 and an amd_a100 replica in one fleet
-//!   charge different prefill/decode costs (deduped by platform name, so
-//!   a 4-replica group shares one memo cache);
+//!   [`LatencyModel`](crate::LatencyModel), so a gh200 and an amd_a100
+//!   replica in one fleet charge different prefill/decode costs (deduped
+//!   by platform name, so a 4-replica group shares one memo cache);
 //! * a disaggregated fleet splits replicas into a prefill pool and a
 //!   decode pool, connected by per-destination **handoff links**: a
 //!   finished prefill's KV blocks queue on the destination's link and
@@ -19,21 +20,13 @@
 //!   launches/drains replicas against load watermarks, with launch cost
 //!   priced as provisioning delay plus the coupling-derived weight load.
 
-use std::collections::VecDeque;
-
-use skip_des::{percentile, SimDuration, SimTime, Simulator};
-use skip_hw::Platform;
-use skip_mem::KvSpec;
+use skip_des::{percentile, SimDuration, SimTime};
 
 use crate::fleet::observe::{FleetReport, FleetTrace};
 use crate::fleet::spec::FleetConfig;
-use crate::latency::LatencyModel;
-use crate::observe::SloReport;
-use crate::policy::ReplicaState;
 use crate::stop::StopCondition;
 use crate::unified::{
-    run_unified, unit_cost_ns, CostBasis, Event, FloorObs, LinkRt, RState, ReplicaMeta, ReplicaSet,
-    UnifiedFloor,
+    run_unified, schedule_arrivals, FloorObs, Latencies, ReplicaSet, RunShape, UnifiedFloor,
 };
 
 /// Runs the fleet simulation, returning the scalar report.
@@ -76,131 +69,38 @@ fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
-    // One platform entry (and LatencyModel) per distinct platform name;
-    // replicas reference them by index so a 4-replica group shares one
-    // memo cache.
-    let mut platforms: Vec<Platform> = Vec::new();
-    let mut meta: Vec<ReplicaMeta> = Vec::new();
-    for g in &cfg.spec.groups {
-        let platform_idx = match platforms.iter().position(|p| p.name == g.platform.name) {
-            Some(i) => i,
-            None => {
-                platforms.push(g.platform.clone());
-                platforms.len() - 1
-            }
-        };
-        for _ in 0..g.count {
-            meta.push(ReplicaMeta {
-                platform_idx,
-                pool: g.role,
-                state: RState::Up,
-                unit_cost_ns: 0.0,
-            });
-        }
-    }
-    let lat: Vec<LatencyModel> = platforms
-        .iter()
-        .map(|p| LatencyModel::new(p.clone(), cfg.model.clone()))
-        .collect();
-    // The cost-model router's exchange rate, one per replica. Pure and
-    // memoized, so pricing eagerly here only warms the latency caches.
-    for m in &mut meta {
-        m.unit_cost_ns = unit_cost_ns(
-            &lat[m.platform_idx],
-            m.pool,
-            cfg.max_batch,
-            cfg.prompt_len,
-            cfg.new_tokens,
-        );
-    }
-    let n = meta.len();
-    let links: Vec<LinkRt> = (0..n).map(|_| LinkRt::default()).collect();
-
+    let shape = RunShape {
+        prompt_len: cfg.prompt_len,
+        new_tokens: cfg.new_tokens,
+        max_batch: cfg.max_batch,
+        requests: cfg.requests,
+    };
+    let set = ReplicaSet::new(
+        &cfg.spec.groups,
+        &cfg.model,
+        shape,
+        || cfg.router.build(),
+        cfg.autoscale,
+    );
+    // Kept alive until the run ends: under glibc malloc, freeing this
+    // buffer before the floor allocates cost the `fleet_autoscale`
+    // benchmark about 1 MB (7%) of peak RSS.
     let arrivals = cfg.arrivals.generate(
         cfg.requests as usize,
         cfg.prompt_len,
         cfg.new_tokens,
         cfg.seed,
     );
-    let first_arrival = arrivals.first().map(|r| r.arrival);
-    let mut sim: Simulator<Event> = Simulator::new();
-    for req in &arrivals {
-        sim.schedule(req.arrival, Event::Arrival(*req));
-    }
-    if let Some(auto) = &cfg.autoscale {
-        sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
-    }
-
-    let initial_live = n as u32;
-    let disagg = cfg.spec.is_disaggregated();
+    let (sim, first_arrival) = schedule_arrivals(arrivals.iter().copied());
     // Preallocate the whole-run observation storage: every request's
     // lifecycle takes a bounded number of events (arrive/admit/first
     // token/complete, plus the three handoff events when disaggregated),
     // so the recording hot path never reallocates mid-simulation.
     let mut obs = FleetTrace::new(cfg.model.name.clone(), cfg.spec.label());
-    obs.reserve(cfg.requests, if disagg { 7 } else { 4 });
-    let mut floor = UnifiedFloor {
-        set: ReplicaSet {
-            platforms,
-            lat,
-            meta,
-            links,
-            arrival_router: cfg.router.build(),
-            // A second instance, so round-robin handoff dispatch keeps
-            // its own cursor, independent of arrival dispatch.
-            handoff_router: cfg.router.build(),
-            kv: KvSpec::for_model(&cfg.model, KvSpec::DEFAULT_BLOCK_TOKENS),
-            disagg,
-            targeted: true,
-            autoscale: cfg.autoscale,
-            weight_bytes: cfg.model.weight_bytes_fp16(),
-            handoffs: 0,
-            handoff_bytes: 0,
-            handoff_waits: Vec::with_capacity(if disagg { cfg.requests as usize } else { 0 }),
-            handoff_transfer_ns: 0.0,
-            scale_ups: 0,
-            scale_downs: 0,
-            peak_live: initial_live,
-            replica_ns: 0.0,
-            last_bill: SimTime::ZERO,
-        },
-        policy: cfg.policy.build(cfg.max_batch),
-        queues: (0..n).map(|_| VecDeque::new()).collect(),
-        queue_of: (0..n).collect(),
-        states: (0..n)
-            .map(|_| ReplicaState {
-                actives: Vec::with_capacity(cfg.max_batch as usize),
-                ..ReplicaState::default()
-            })
-            .collect(),
-        mem: None,
-        finished: Vec::with_capacity(cfg.requests as usize),
-        last_completion: SimTime::ZERO,
-        // Fleet policies admit at every boundary, so no flush timers.
-        flush: Vec::new(),
-        obs: FloorObs::Fleet(obs),
-        expired_buf: Vec::new(),
-        load_buf: Vec::with_capacity(n),
-        scratch_actives: Vec::with_capacity(cfg.max_batch as usize),
-        scratch_handoffs: Vec::with_capacity(if disagg { cfg.max_batch as usize } else { 0 }),
-        prompt_len: cfg.prompt_len,
-        new_tokens: cfg.new_tokens,
-        max_batch: cfg.max_batch,
-        requests: cfg.requests,
-    };
-
-    let aborted = run_unified(&mut floor, &mut sim, stop, cfg.slo, CostBasis::Billed);
-
-    let bill_to = if aborted {
-        // Bill the span actually simulated — the truncated report still
-        // prices what the run rented before it was called off.
-        sim.now()
-            .max(floor.last_completion)
-            .max(floor.set.last_bill)
-    } else {
-        floor.last_completion.max(floor.set.last_bill)
-    };
-    floor.set.bill(bill_to);
+    obs.reserve(cfg.requests, if set.disagg { 7 } else { 4 });
+    let policy = cfg.policy.build(cfg.max_batch);
+    let mut floor = UnifiedFloor::new(set, policy, None, FloorObs::Fleet(obs), shape);
+    let aborted = run_unified(&mut floor, sim, stop, cfg.slo);
 
     let mut report = assemble_fleet_report(cfg, &floor, first_arrival);
     report.aborted = aborted;
@@ -210,37 +110,32 @@ fn run_fleet(cfg: &FleetConfig, stop: StopCondition) -> (FleetReport, FleetTrace
     (report, trace)
 }
 
+/// The shared latency metrics plus the fleet's handoff, scaling and
+/// billing telemetry.
 fn assemble_fleet_report(
     cfg: &FleetConfig,
     floor: &UnifiedFloor,
     first_arrival: Option<SimTime>,
 ) -> FleetReport {
-    let latencies: Vec<(SimDuration, SimDuration)> =
-        floor.finished.iter().map(|f| (f.ttft, f.e2e)).collect();
-    let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
-    let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
-    let makespan = floor
-        .last_completion
-        .saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
-    let completed = latencies.len() as u32;
-    let total_tokens = u64::from(completed) * u64::from(cfg.new_tokens.max(1));
-    let throughput_tok_s = if completed == 0 {
-        0.0
-    } else {
-        total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
-    };
-    let d = |v: f64| SimDuration::from_nanos_f64(v);
+    let l = Latencies::fold(
+        &floor.finished,
+        first_arrival,
+        floor.last_completion,
+        cfg.new_tokens,
+        cfg.slo,
+    );
     let set = &floor.set;
+    let d = SimDuration::from_nanos_f64;
     FleetReport {
-        completed,
-        ttft_p50: d(percentile(&ttfts, 50.0)),
-        ttft_p95: d(percentile(&ttfts, 95.0)),
-        ttft_p99: d(percentile(&ttfts, 99.0)),
-        e2e_p50: d(percentile(&e2es, 50.0)),
-        e2e_p95: d(percentile(&e2es, 95.0)),
-        throughput_tok_s,
-        makespan,
-        slo: SloReport::evaluate(cfg.slo, &latencies, cfg.new_tokens.max(1), makespan),
+        completed: l.completed,
+        ttft_p50: l.ttft_p50,
+        ttft_p95: l.ttft_p95,
+        ttft_p99: l.ttft_p99,
+        e2e_p50: l.e2e_p50,
+        e2e_p95: l.e2e_p95,
+        throughput_tok_s: l.throughput_tok_s,
+        makespan: l.makespan,
+        slo: l.slo,
         handoffs: set.handoffs,
         handoff_bytes: set.handoff_bytes,
         handoff_wait_p50: d(percentile(&set.handoff_waits, 50.0)),
@@ -261,8 +156,9 @@ mod tests {
     use crate::fleet::autoscale::{AutoscaleConfig, ScaleAction};
     use crate::fleet::spec::{FleetBatchPolicy, FleetRouterPolicy, FleetSpec, PoolRole};
     use crate::observe::{LifecycleKind, SloTargets};
-    use skip_hw::{Coupling, Interconnect, PlatformBuilder};
+    use skip_hw::{Coupling, Interconnect, Platform, PlatformBuilder};
     use skip_llm::zoo;
+    use skip_mem::KvSpec;
 
     fn base(spec: FleetSpec) -> FleetConfig {
         FleetConfig {

@@ -2,26 +2,24 @@
 //! floor.
 //!
 //! This module owns the public single-node API — [`simulate`],
-//! [`simulate_replicas`], [`simulate_traced`], and the bounded variant —
-//! plus the [`ServingReport`] shape. The event loop itself lives in
-//! `crate::unified`: a single-node endpoint is the degenerate
-//! [`ReplicaSet`](crate::unified::ReplicaSet) — one homogeneous
-//! always-up group in one unified pool, with inert handoff links and
-//! broadcast (flush-timer-driven) wake-ups.
-
-use std::collections::VecDeque;
+//! [`simulate_replicas`] and [`simulate_traced`] — plus the
+//! [`ServingReport`] shape. An endpoint of `n` replicas is the fleet spec
+//! `<platform>:<n>`: it builds the same `ReplicaSet` and floor as the
+//! fleet front, adding the optional KV memory layer and recording a
+//! [`ServingTrace`]. The event loop itself lives in `crate::unified`.
 
 use serde::{Deserialize, Serialize};
-use skip_des::{percentile, SimDuration, SimTime, Simulator};
+use skip_des::{SimDuration, SimTime};
 
 use crate::config::ServingConfig;
+use crate::fleet::spec::FleetSpec;
 use crate::memctx::MemoryLayer;
 use crate::observe::{ServingTrace, SloReport};
-use crate::policy::{Finished, ReplicaState};
+use crate::policy::Finished;
 use crate::request::RequestStream;
 use crate::stop::StopCondition;
 use crate::unified::{
-    run_unified, CostBasis, Event, FloorObs, FlushTimer, ReplicaSet, UnifiedFloor,
+    run_unified, schedule_arrivals, FloorObs, Latencies, ReplicaSet, RunShape, UnifiedFloor,
 };
 
 /// Measured serving behaviour.
@@ -60,10 +58,10 @@ pub struct ServingReport {
     /// SLO attainment against [`ServingConfig::slo`] (vacuous when no
     /// target is configured).
     pub slo: SloReport,
-    /// `true` when the run was stopped early by a
-    /// [`StopCondition`](crate::StopCondition): every metric covers only
-    /// the simulated prefix. Omitted from serialization when `false`, so
-    /// unbounded runs keep their pinned serde bytes.
+    /// Always `false`: single-node runs are never stopped early (the
+    /// bounded runs the planner makes are fleet runs, see
+    /// [`FleetReport::aborted`](crate::FleetReport::aborted)). Omitted
+    /// from serialization when `false`, so the serde bytes stay pinned.
     #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub aborted: bool,
 }
@@ -95,27 +93,6 @@ pub fn simulate_replicas(cfg: &ServingConfig, replicas: u32) -> ServingReport {
     simulate_traced(cfg, replicas).0
 }
 
-/// Runs the serving simulation under `stop`, aborting the moment a budget
-/// is blown — the single-platform twin of
-/// [`simulate_fleet_bounded`](crate::fleet::floor::simulate_fleet_bounded).
-/// An aborted run returns the truncated report of the simulated prefix
-/// with [`ServingReport::aborted`] set; the cost ceiling prices the fixed
-/// fleet at `replicas × elapsed` seconds. A run no budget stops is
-/// byte-identical to [`simulate_replicas`].
-///
-/// # Panics
-///
-/// Panics if `replicas` is zero or the configuration fails
-/// [`ServingConfig::validate`].
-#[must_use]
-pub fn simulate_replicas_bounded(
-    cfg: &ServingConfig,
-    replicas: u32,
-    stop: StopCondition,
-) -> ServingReport {
-    run_floor(cfg, replicas, stop).0
-}
-
 /// Runs the serving simulation and additionally returns the full
 /// observability recording: per-request lifecycle records and the counter
 /// tracks sampled at every iteration boundary.
@@ -130,87 +107,56 @@ pub fn simulate_replicas_bounded(
 /// validate first for a graceful error path).
 #[must_use]
 pub fn simulate_traced(cfg: &ServingConfig, replicas: u32) -> (ServingReport, ServingTrace) {
-    run_floor(cfg, replicas, StopCondition::UNBOUNDED)
-}
-
-fn run_floor(
-    cfg: &ServingConfig,
-    replicas: u32,
-    stop: StopCondition,
-) -> (ServingReport, ServingTrace) {
     assert!(replicas > 0, "need at least one replica");
     if let Err(e) = cfg.validate() {
         panic!("{e}");
     }
 
-    let n = replicas as usize;
-    let mut sim: Simulator<Event> = Simulator::new();
-    let mut first_arrival: Option<SimTime> = None;
-    for req in RequestStream::poisson(
-        cfg.arrival_rate_per_s,
-        cfg.prompt_len,
-        cfg.new_tokens,
-        cfg.seed,
-    )
-    .take(cfg.requests as usize)
-    {
-        first_arrival.get_or_insert(req.arrival);
-        sim.schedule(req.arrival, Event::Arrival(req));
-    }
-
-    let router = cfg.router.build();
-    let nq = router.queue_count(n).clamp(1, n);
-    let mut obs = ServingTrace::new(cfg.model.name.clone(), cfg.platform.name.clone(), replicas);
-    // Every request records at least arrive/admit/first-token/complete;
-    // memory pressure adds preempt/resume pairs.
-    obs.reserve(cfg.requests, if cfg.kv.is_some() { 6 } else { 4 });
-    let mut floor = UnifiedFloor {
-        set: ReplicaSet::single_group(cfg.platform.clone(), &cfg.model, n, router),
-        policy: cfg.policy.build(),
-        queues: (0..nq).map(|_| VecDeque::new()).collect(),
-        queue_of: (0..n).map(|r| r.min(nq - 1)).collect(),
-        states: (0..n).map(|_| ReplicaState::default()).collect(),
-        mem: cfg.kv.map(|kv| MemoryLayer::new(cfg, kv, n)),
-        finished: Vec::with_capacity(cfg.requests as usize),
-        last_completion: SimTime::ZERO,
-        flush: (0..nq).map(|_| FlushTimer::default()).collect(),
-        obs: FloorObs::Serve(obs),
-        expired_buf: vec![false; nq],
-        load_buf: Vec::with_capacity(n),
-        scratch_actives: Vec::new(),
-        scratch_handoffs: Vec::new(),
+    // Scheduled before the replica set prices its unit costs: the other
+    // order peaked about 9 MB higher on the `serve_kv` benchmark.
+    let (sim, first_arrival) = schedule_arrivals(
+        RequestStream::poisson(
+            cfg.arrival_rate_per_s,
+            cfg.prompt_len,
+            cfg.new_tokens,
+            cfg.seed,
+        )
+        .take(cfg.requests as usize),
+    );
+    let shape = RunShape {
         prompt_len: cfg.prompt_len,
         new_tokens: cfg.new_tokens,
         max_batch: 0,
         requests: cfg.requests,
     };
+    let spec = FleetSpec::homogeneous(cfg.platform.clone(), replicas);
+    let set = ReplicaSet::new(&spec.groups, &cfg.model, shape, || cfg.router.build(), None);
+    let mut obs = ServingTrace::new(cfg.model.name.clone(), cfg.platform.name.clone(), replicas);
+    // Every request records at least arrive/admit/first-token/complete;
+    // memory pressure adds preempt/resume pairs.
+    obs.reserve(cfg.requests, if cfg.kv.is_some() { 6 } else { 4 });
+    let mem = cfg
+        .kv
+        .map(|kv| MemoryLayer::new(cfg, kv, replicas as usize));
+    let mut floor = UnifiedFloor::new(set, cfg.policy.build(), mem, FloorObs::Serve(obs), shape);
 
-    let aborted = run_unified(
-        &mut floor,
-        &mut sim,
-        stop,
-        cfg.slo,
-        CostBasis::FixedReplicas(replicas),
-    );
+    run_unified(&mut floor, sim, StopCondition::UNBOUNDED, cfg.slo);
 
-    let mut report = assemble_report(
+    let report = assemble_report(
         cfg,
         &floor.finished,
         floor.last_completion,
         first_arrival,
         floor.mem.as_ref(),
     );
-    report.aborted = aborted;
     let FloorObs::Serve(trace) = floor.obs else {
         unreachable!("single-node front records a ServingTrace")
     };
     (report, trace)
 }
 
-/// Folds the finished set into percentile metrics.
-///
-/// Total tokens count completed requests only, and an empty finished set
-/// yields an all-zero (but well-formed) report rather than a panic.
+/// Folds the finished set into the report: the shared latency metrics
+/// plus the memory-pressure counters.
 fn assemble_report(
     cfg: &ServingConfig,
     finished: &[Finished],
@@ -218,35 +164,28 @@ fn assemble_report(
     first_arrival: Option<SimTime>,
     mem: Option<&MemoryLayer>,
 ) -> ServingReport {
-    let latencies: Vec<(SimDuration, SimDuration)> =
-        finished.iter().map(|f| (f.ttft, f.e2e)).collect();
-    let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
-    let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
-    let makespan =
-        last_completion.saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
-    let completed = finished.len() as u32;
-    let total_tokens = u64::from(completed) * u64::from(cfg.new_tokens.max(1));
-    let throughput_tok_s = if completed == 0 {
-        0.0
-    } else {
-        total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
-    };
-    let d = |v: f64| SimDuration::from_nanos_f64(v);
+    let l = Latencies::fold(
+        finished,
+        first_arrival,
+        last_completion,
+        cfg.new_tokens,
+        cfg.slo,
+    );
     ServingReport {
-        completed,
-        ttft_p50: d(percentile(&ttfts, 50.0)),
-        ttft_p95: d(percentile(&ttfts, 95.0)),
-        ttft_p99: d(percentile(&ttfts, 99.0)),
-        e2e_p50: d(percentile(&e2es, 50.0)),
-        e2e_p95: d(percentile(&e2es, 95.0)),
-        throughput_tok_s,
-        makespan,
+        completed: l.completed,
+        ttft_p50: l.ttft_p50,
+        ttft_p95: l.ttft_p95,
+        ttft_p99: l.ttft_p99,
+        e2e_p50: l.e2e_p50,
+        e2e_p95: l.e2e_p95,
+        throughput_tok_s: l.throughput_tok_s,
+        makespan: l.makespan,
         preemptions: mem.map_or(0, |m| m.counters().preemptions),
         swap_outs: mem.map_or(0, |m| m.counters().swap_outs),
         swapped_bytes: mem.map_or(0, |m| m.counters().swapped_bytes),
         recomputed_tokens: mem.map_or(0, |m| m.counters().recomputed_tokens),
         kv_peak_occupancy: mem.map_or(0.0, MemoryLayer::peak_occupancy),
-        slo: SloReport::evaluate(cfg.slo, &latencies, cfg.new_tokens.max(1), makespan),
+        slo: l.slo,
         aborted: false,
     }
 }
@@ -257,6 +196,7 @@ mod tests {
     use crate::config::{KvCacheConfig, Policy, RouterPolicy};
     use crate::latency::LatencyModel;
     use crate::observe::SloTargets;
+    use skip_des::percentile;
     use skip_hw::Platform;
     use skip_llm::zoo;
     use skip_mem::{KvSpec, OffloadPolicy};

@@ -905,7 +905,7 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(32))]
+            #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// The tentpole's equivalence theorem, tested: for a random
             /// scenario (policy × router × KV pressure × replica count ×

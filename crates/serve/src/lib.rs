@@ -16,7 +16,14 @@
 //! requests run next iteration: [`Policy`]), a `Router` (which replica an
 //! arrival joins: [`RouterPolicy`]), and a memory layer wrapping the
 //! `skip-mem` paged KV-cache ([`KvCacheConfig`]). New policies plug into
-//! the seams without touching the event loop.
+//! the seams without touching the event loop. The seams are internal:
+//! callers pick an implementation through the config enums.
+//!
+//! Single-node serving and the [`fleet`] layer drive the same floor. An
+//! endpoint of `n` replicas is the fleet spec `<platform>:<n>`; fleets
+//! add heterogeneous platforms, prefill/decode pools and autoscaling.
+//! Only fleet runs can be stopped early ([`simulate_fleet_bounded`]),
+//! which is what the capacity planner uses.
 //!
 //! Components:
 //!
@@ -104,15 +111,12 @@ pub use fleet::{
     PoolRole, ReplicaGroup, Resolution, ScaleAction, ScalingEvent, SweepBounds, SweepStats,
     TrafficEnvelope,
 };
-pub use floor::{
-    simulate, simulate_replicas, simulate_replicas_bounded, simulate_traced, ServingReport,
-};
+pub use floor::{simulate, simulate_replicas, simulate_traced, ServingReport};
 pub use latency::LatencyModel;
 pub use observe::{
     CounterSample, LifecycleEvent, LifecycleKind, RequestLifecycle, ResumeAction, ServingTrace,
     SloReport, SloTargets,
 };
 pub use request::{Request, RequestStream};
-pub use router::{ReplicaLoad, Router};
 pub use skip_mem::OffloadPolicy;
 pub use stop::{allowed_misses, StopCondition};

@@ -10,9 +10,9 @@
 //! The same trait serves the fleet: the floor marks pool/state
 //! eligibility and per-replica serving cost in each [`ReplicaLoad`]
 //! snapshot, and the fleet's rr/jsq/cost-jsq dispatch are the same
-//! routers consulting those extra fields. A single-node floor marks every
-//! replica eligible with zero link depth, which degenerates each router
-//! to its classic single-pool behaviour.
+//! routers consulting those extra fields. In a one-pool, always-up set
+//! (single-node serving) every replica is eligible and every link empty,
+//! which degenerates each router to its classic single-pool behaviour.
 
 use crate::config::RouterPolicy;
 use crate::fleet::spec::FleetRouterPolicy;
@@ -20,7 +20,7 @@ use crate::request::Request;
 
 /// Load snapshot of one replica, consulted by routing policies.
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicaLoad {
+pub(crate) struct ReplicaLoad {
     /// Requests waiting in the queue this replica pulls from.
     pub queued: u32,
     /// Requests in the replica's running batch or static job.
@@ -32,11 +32,12 @@ pub struct ReplicaLoad {
     pub link: u32,
     /// Whether this replica may receive the request being routed: up (or
     /// the fallback set when nothing is up) and in a pool serving the
-    /// routed direction. Single-node floors mark every replica eligible.
+    /// routed direction. One-pool, always-up sets mark every replica
+    /// eligible.
     pub eligible: bool,
     /// Estimated serving cost per request on this replica, in
     /// nanoseconds — the per-platform unit price cost-model routing
-    /// weighs backlog by. Zero when the floor prices uniformly.
+    /// weighs backlog by. The other routers never read it.
     pub unit_cost_ns: f64,
 }
 
@@ -62,7 +63,7 @@ impl ReplicaLoad {
 }
 
 /// Dispatches arrivals across replica queues.
-pub trait Router {
+pub(crate) trait Router {
     /// Number of pending queues the floor maintains: 1 for a shared queue,
     /// `replicas` for partitioned dispatch.
     fn queue_count(&self, replicas: usize) -> usize;

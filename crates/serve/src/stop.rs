@@ -6,7 +6,7 @@
 //! already bills more than a known-better incumbent — both quantities are
 //! monotone in simulated time, so the verdict at the abort instant is the
 //! verdict of the full run. [`StopCondition`] carries those budgets into
-//! the serving and fleet floors; a run stopped by one returns a
+//! the fleet floor's bounded runs; a run stopped by one returns a
 //! truncated-but-honest report with its `aborted` flag set, which callers
 //! must never count as a completed envelope.
 
@@ -88,8 +88,8 @@ pub fn allowed_misses(requests: u32, floor: f64) -> u32 {
     m
 }
 
-/// Incremental miss/cost bookkeeping for one bounded run. The floors feed
-/// it each newly-finished request and ask whether a budget is blown.
+/// Incremental miss/cost bookkeeping for one bounded run. The floor feeds
+/// it each newly-finished request and asks whether a budget is blown.
 #[derive(Debug)]
 pub(crate) struct StopGuard {
     stop: StopCondition,

@@ -1,14 +1,22 @@
 //! The unified serving floor: one DES loop behind both public fronts.
 //!
-//! A [`UnifiedFloor`] is a generic event loop over a [`ReplicaSet`] — a
-//! pool-aware collection of replicas with per-platform pricing, optional
-//! handoff links, and optional autoscaling. The single-node front
-//! (`crate::floor`) builds a one-group, one-pool set with zero-cost
-//! (inert) links and broadcast wake-ups; the fleet front
-//! (`crate::fleet::floor`) builds a heterogeneous, optionally
-//! disaggregated set with targeted wake-ups. Both fronts are thin
-//! constructors: every event, every scheduling decision, and every
-//! counter sample flows through this one loop.
+//! Both fronts build the floor the same way. [`ReplicaSet::new`] turns
+//! replica groups into a pool-aware replica set with per-platform
+//! pricing, handoff links and an optional autoscaler; single-node serving
+//! passes the homogeneous spec `<platform>:<n>`, the fleet front its own
+//! groups. [`UnifiedFloor::new`] derives everything else from its
+//! inputs: the queue topology from the router, the flush timers from the
+//! batch policy, and the scratch capacities from the [`RunShape`].
+//! [`run_unified`] drives the loop and bills the set, and
+//! [`Latencies::fold`] computes the metrics both reports share. The
+//! fronts keep only their config, their recording shape and the report
+//! fields that differ.
+//!
+//! Wake-ups are derived the same way. A policy with a flush window
+//! (static batching) sweeps every replica against fresh timer expiry; any
+//! other policy kicks only the replicas that pull from the queue an event
+//! touched — every replica when the queue is shared, one when queues are
+//! partitioned.
 //!
 //! Scheduling itself still lives behind the three seams: the
 //! [`Router`] picks a queue for each arrival (and a destination for each
@@ -19,18 +27,19 @@
 
 use std::collections::VecDeque;
 
-use skip_des::{SimContext, SimDuration, SimTime, Simulator};
+use skip_des::{percentile, SimContext, SimDuration, SimTime, Simulator};
 use skip_hw::Platform;
 use skip_llm::ModelConfig;
 use skip_mem::KvSpec;
 
-use crate::config::RouterPolicy;
 use crate::fleet::autoscale::{AutoscaleConfig, ScaleAction, ScalingEvent};
 use crate::fleet::observe::{FleetSample, FleetTrace};
-use crate::fleet::spec::PoolRole;
+use crate::fleet::spec::{PoolRole, ReplicaGroup};
 use crate::latency::LatencyModel;
 use crate::memctx::MemoryLayer;
-use crate::observe::{CounterSample, LifecycleKind, RecordSink, ServingTrace, SloTargets};
+use crate::observe::{
+    CounterSample, LifecycleKind, RecordSink, ServingTrace, SloReport, SloTargets,
+};
 use crate::policy::{Active, BatchPolicy, Finished, Lane, ReplicaState};
 use crate::request::Request;
 use crate::router::{ReplicaLoad, Router};
@@ -125,8 +134,8 @@ struct Handoff {
 
 /// Per-replica ingress link: FIFO queue plus at most one in-flight
 /// transfer, so concurrent handoffs to the same destination serialize and
-/// the interconnect shows up as occupancy. Single-node sets keep these
-/// permanently empty (zero-cost links).
+/// the interconnect shows up as occupancy. One-pool sets keep these
+/// permanently empty.
 #[derive(Debug, Default)]
 pub(crate) struct LinkRt {
     queue: VecDeque<Handoff>,
@@ -148,9 +157,22 @@ pub(crate) struct FlushTimer {
     deadline: Option<SimTime>,
 }
 
+/// What every request of a run looks like and how many there are: the
+/// workload unit costs are priced for and buffers are sized against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunShape {
+    pub(crate) prompt_len: u32,
+    pub(crate) new_tokens: u32,
+    /// Per-replica admission slots of the fleet policies; 0 when the
+    /// batch policy carries its own limit (single-node serving).
+    pub(crate) max_batch: u32,
+    /// Total requests this run serves (the autoscaler's done check).
+    pub(crate) requests: u32,
+}
+
 /// One replica's identity inside the set: which platform prices it,
 /// which pool it serves, its scaling state, and its unit serving cost
-/// (the cost-model router's exchange rate; 0 when pricing is uniform).
+/// (the cost-model router's exchange rate).
 pub(crate) struct ReplicaMeta {
     pub(crate) platform_idx: usize,
     pub(crate) pool: PoolRole,
@@ -162,7 +184,7 @@ pub(crate) struct ReplicaMeta {
 /// platforms and their latency models, per-replica identities, handoff
 /// links, the two routing seams, and the scaling/billing knobs. A
 /// single-node floor is the degenerate case — one group, one pool,
-/// always-up replicas, inert links, no autoscaler.
+/// always-up replicas, links that never carry a handoff, no autoscaler.
 pub(crate) struct ReplicaSet {
     pub(crate) platforms: Vec<Platform>,
     pub(crate) lat: Vec<LatencyModel>,
@@ -176,10 +198,6 @@ pub(crate) struct ReplicaSet {
     /// KV geometry for handoff sizing.
     pub(crate) kv: KvSpec,
     pub(crate) disagg: bool,
-    /// `true` for fleet-style targeted wake-ups (kick only the touched
-    /// replica); `false` for the single-node broadcast sweep with flush
-    /// timers.
-    pub(crate) targeted: bool,
     pub(crate) autoscale: Option<AutoscaleConfig>,
     /// Model weight bytes a launching replica loads over its host link.
     pub(crate) weight_bytes: u64,
@@ -196,44 +214,56 @@ pub(crate) struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    /// One homogeneous always-up group of `replicas` — the single-node
-    /// serving endpoint as a degenerate fleet: one pool, zero-cost links,
-    /// broadcast wake-ups, uniform (zero) unit pricing.
-    pub(crate) fn single_group(
-        platform: Platform,
+    /// Builds the set from replica `groups`, every replica up. Platforms
+    /// are deduped by name, so a 4-replica group shares one
+    /// [`LatencyModel`] memo; each replica carries its unit cost for
+    /// `shape`; and `router` is built twice, so round-robin handoff
+    /// dispatch keeps its own cursor, independent of arrival dispatch.
+    pub(crate) fn new(
+        groups: &[ReplicaGroup],
         model: &ModelConfig,
-        replicas: usize,
-        arrival_router: Box<dyn Router>,
+        shape: RunShape,
+        router: impl Fn() -> Box<dyn Router>,
+        autoscale: Option<AutoscaleConfig>,
     ) -> Self {
-        let lat = LatencyModel::new(platform.clone(), model.clone());
+        let mut platforms: Vec<Platform> = Vec::new();
+        let mut lat: Vec<LatencyModel> = Vec::new();
+        let mut meta: Vec<ReplicaMeta> = Vec::new();
+        for g in groups {
+            let known = platforms.iter().position(|p| p.name == g.platform.name);
+            let platform_idx = known.unwrap_or_else(|| {
+                platforms.push(g.platform.clone());
+                lat.push(LatencyModel::new(g.platform.clone(), model.clone()));
+                platforms.len() - 1
+            });
+            let unit_cost_ns = unit_cost_ns(&lat[platform_idx], g.role, shape);
+            meta.extend((0..g.count).map(|_| ReplicaMeta {
+                platform_idx,
+                pool: g.role,
+                state: RState::Up,
+                unit_cost_ns,
+            }));
+        }
+        let disagg = groups.iter().any(|g| g.role != PoolRole::Unified);
+        let n = meta.len();
         ReplicaSet {
+            platforms,
+            lat,
+            meta,
+            links: (0..n).map(|_| LinkRt::default()).collect(),
+            arrival_router: router(),
+            handoff_router: router(),
             kv: KvSpec::for_model(model, KvSpec::DEFAULT_BLOCK_TOKENS),
-            platforms: vec![platform],
-            lat: vec![lat],
-            meta: (0..replicas)
-                .map(|_| ReplicaMeta {
-                    platform_idx: 0,
-                    pool: PoolRole::Unified,
-                    state: RState::Up,
-                    unit_cost_ns: 0.0,
-                })
-                .collect(),
-            links: (0..replicas).map(|_| LinkRt::default()).collect(),
-            arrival_router,
-            // Never consulted: a one-pool set finishes every request in
-            // place, so nothing reaches the handoff seam.
-            handoff_router: RouterPolicy::SharedQueue.build(),
-            disagg: false,
-            targeted: false,
-            autoscale: None,
-            weight_bytes: 0,
+            disagg,
+            autoscale,
+            weight_bytes: model.weight_bytes_fp16(),
             handoffs: 0,
             handoff_bytes: 0,
             handoff_waits: Vec::new(),
             handoff_transfer_ns: 0.0,
             scale_ups: 0,
             scale_downs: 0,
-            peak_live: replicas as u32,
+            peak_live: n as u32,
             replica_ns: 0.0,
             last_bill: SimTime::ZERO,
         }
@@ -271,14 +301,9 @@ impl ReplicaSet {
 /// cost-model JSQ's exchange rate between queue depths on different
 /// platforms. Memoized inside the [`LatencyModel`], so this is two map
 /// hits after the first call.
-pub(crate) fn unit_cost_ns(
-    lat: &LatencyModel,
-    pool: PoolRole,
-    max_batch: u32,
-    prompt_len: u32,
-    new_tokens: u32,
-) -> f64 {
-    let b = max_batch.max(1);
+fn unit_cost_ns(lat: &LatencyModel, pool: PoolRole, shape: RunShape) -> f64 {
+    let (prompt_len, new_tokens) = (shape.prompt_len, shape.new_tokens);
+    let b = shape.max_batch.max(1);
     let prefill = lat.prefill(b, prompt_len.max(1)).as_nanos_f64() / f64::from(b);
     let steps = new_tokens.max(1) - 1;
     let decode = lat.decode_step(b, prompt_len + new_tokens).as_nanos_f64() / f64::from(b);
@@ -289,13 +314,58 @@ pub(crate) fn unit_cost_ns(
     }
 }
 
-/// How a bounded run prices elapsed time against a cost ceiling.
-#[derive(Clone, Copy)]
-pub(crate) enum CostBasis {
-    /// Fixed fleet: `replicas × elapsed` seconds.
-    FixedReplicas(u32),
-    /// Autoscale-aware: the set's accrued replica-seconds.
-    Billed,
+/// The latency metrics both report shapes share, folded from the
+/// finished set.
+pub(crate) struct Latencies {
+    pub(crate) completed: u32,
+    pub(crate) ttft_p50: SimDuration,
+    pub(crate) ttft_p95: SimDuration,
+    pub(crate) ttft_p99: SimDuration,
+    pub(crate) e2e_p50: SimDuration,
+    pub(crate) e2e_p95: SimDuration,
+    pub(crate) throughput_tok_s: f64,
+    pub(crate) makespan: SimDuration,
+    pub(crate) slo: SloReport,
+}
+
+impl Latencies {
+    /// Folds `finished` into percentiles, throughput over the span from
+    /// the first arrival to the last completion, and SLO attainment.
+    /// Total tokens count completed requests only, and an empty finished
+    /// set yields all zeros rather than a panic.
+    pub(crate) fn fold(
+        finished: &[Finished],
+        first_arrival: Option<SimTime>,
+        last_completion: SimTime,
+        new_tokens: u32,
+        slo: SloTargets,
+    ) -> Self {
+        let latencies: Vec<(SimDuration, SimDuration)> =
+            finished.iter().map(|f| (f.ttft, f.e2e)).collect();
+        let ttfts: Vec<f64> = latencies.iter().map(|(t, _)| t.as_nanos_f64()).collect();
+        let e2es: Vec<f64> = latencies.iter().map(|(_, e)| e.as_nanos_f64()).collect();
+        let makespan =
+            last_completion.saturating_duration_since(first_arrival.unwrap_or(SimTime::ZERO));
+        let completed = finished.len() as u32;
+        let total_tokens = u64::from(completed) * u64::from(new_tokens.max(1));
+        let throughput_tok_s = if completed == 0 {
+            0.0
+        } else {
+            total_tokens as f64 / makespan.as_secs_f64().max(1e-12)
+        };
+        let d = SimDuration::from_nanos_f64;
+        Latencies {
+            completed,
+            ttft_p50: d(percentile(&ttfts, 50.0)),
+            ttft_p95: d(percentile(&ttfts, 95.0)),
+            ttft_p99: d(percentile(&ttfts, 99.0)),
+            e2e_p50: d(percentile(&e2es, 50.0)),
+            e2e_p95: d(percentile(&e2es, 95.0)),
+            throughput_tok_s,
+            makespan,
+            slo: SloReport::evaluate(slo, &latencies, new_tokens.max(1), makespan),
+        }
+    }
 }
 
 /// The unified floor: DES state shared by both serving fronts, plus the
@@ -312,12 +382,14 @@ pub(crate) struct UnifiedFloor {
     pub(crate) mem: Option<MemoryLayer>,
     pub(crate) finished: Vec<Finished>,
     pub(crate) last_completion: SimTime,
+    /// One flush timer per queue under a policy with a flush window;
+    /// empty otherwise.
     pub(crate) flush: Vec<FlushTimer>,
     /// The observability recording: lifecycle records + counter samples.
     pub(crate) obs: FloorObs,
     /// Reused per-event scratch: which queues' oldest waiter timed out.
-    /// Refilled by [`refresh_expired`](Self::refresh_expired); never
-    /// reallocated after construction.
+    /// Refilled by [`refresh_expired`](Self::refresh_expired); sized like
+    /// `flush` and never reallocated after construction.
     pub(crate) expired_buf: Vec<bool>,
     /// Reused per-arrival scratch: the router's load snapshot.
     pub(crate) load_buf: Vec<ReplicaLoad>,
@@ -325,15 +397,57 @@ pub(crate) struct UnifiedFloor {
     pub(crate) scratch_actives: Vec<Active>,
     /// Reusable buffer for handoffs discovered during a retire.
     pub(crate) scratch_handoffs: Vec<Request>,
-    pub(crate) prompt_len: u32,
-    pub(crate) new_tokens: u32,
-    /// Per-replica admission slots (fleet policies; scaling unit costs).
-    pub(crate) max_batch: u32,
-    /// Total requests this run serves (the autoscaler's done check).
-    pub(crate) requests: u32,
+    pub(crate) shape: RunShape,
 }
 
 impl UnifiedFloor {
+    /// Builds the floor around `set`. The arrival router declares the
+    /// queue topology (one shared queue or one per replica), flush timers
+    /// exist only under a policy with a flush window, and the per-replica
+    /// and scratch buffers are sized from `shape` up front, so the hot
+    /// path does not reallocate mid-run.
+    pub(crate) fn new(
+        mut set: ReplicaSet,
+        policy: Box<dyn BatchPolicy>,
+        mem: Option<MemoryLayer>,
+        obs: FloorObs,
+        shape: RunShape,
+    ) -> Self {
+        let n = set.meta.len();
+        let nq = set.arrival_router.queue_count(n).clamp(1, n);
+        let timers = policy.flush_after().map_or(0, |_| nq);
+        let batch = shape.max_batch as usize;
+        if set.disagg {
+            // One wait per handed-off request. Reserved here, after the
+            // recording buffers: reserving it when the set is built raised
+            // the `fleet_autoscale` benchmark's peak RSS by ~1 MB in about
+            // one run in five (glibc malloc).
+            set.handoff_waits.reserve(shape.requests as usize);
+        }
+        UnifiedFloor {
+            queues: (0..nq).map(|_| VecDeque::new()).collect(),
+            queue_of: (0..n).map(|r| r.min(nq - 1)).collect(),
+            states: (0..n)
+                .map(|_| ReplicaState {
+                    actives: Vec::with_capacity(batch),
+                    ..ReplicaState::default()
+                })
+                .collect(),
+            mem,
+            finished: Vec::with_capacity(shape.requests as usize),
+            last_completion: SimTime::ZERO,
+            flush: (0..timers).map(|_| FlushTimer::default()).collect(),
+            obs,
+            expired_buf: vec![false; timers],
+            load_buf: Vec::with_capacity(n),
+            scratch_actives: Vec::with_capacity(batch),
+            scratch_handoffs: Vec::with_capacity(if set.disagg { batch } else { 0 }),
+            set,
+            policy,
+            shape,
+        }
+    }
+
     pub(crate) fn handle(&mut self, ctx: &mut SimContext<'_, Event>, event: Event) {
         let now = ctx.now();
         match event {
@@ -363,10 +477,8 @@ impl UnifiedFloor {
                 self.states[replica].busy = false;
                 self.with_lane(now, replica, |policy, lane| policy.retire(lane));
                 self.dispatch_handoffs(ctx, replica, now);
-                self.wake(ctx, replica);
-                if self.set.targeted {
-                    self.settle_drains(now);
-                }
+                self.wake(ctx, self.queue_of[replica]);
+                self.settle_drains(now);
             }
             Event::HandoffDone(dst) => {
                 let (h, started) = self.set.links[dst]
@@ -392,7 +504,7 @@ impl UnifiedFloor {
                 self.set.handoff_transfer_ns += h.transfer.as_nanos_f64();
                 self.queues[self.queue_of[dst]].push_back(h.req);
                 self.pump_link(ctx, dst, now);
-                self.kick(ctx, dst);
+                self.wake(ctx, self.queue_of[dst]);
             }
             Event::ScaleTick => self.scale_tick(ctx, now),
             Event::ReplicaUp(r) => {
@@ -405,22 +517,29 @@ impl UnifiedFloor {
                     replica: r as u32,
                     action: ScaleAction::Up,
                 });
-                self.kick(ctx, r);
+                self.wake(ctx, self.queue_of[r]);
             }
         }
         self.sample(now);
     }
 
-    /// Restarts idle replicas after `touched`'s queue or state changed:
-    /// a targeted set kicks just that replica; a broadcast set refreshes
-    /// flush expiry, sweeps every replica, and re-arms the timers.
-    fn wake(&mut self, ctx: &mut SimContext<'_, Event>, touched: usize) {
-        if self.set.targeted {
-            self.kick(ctx, touched);
-        } else {
-            self.refresh_expired(ctx.now());
+    /// Restarts idle replicas after queue `q`, or a replica pulling from
+    /// it, changed. A policy with a flush window refreshes timer expiry,
+    /// sweeps every replica and re-arms the timers. Any other policy
+    /// kicks only `q`'s consumers: every replica when the queue is
+    /// shared, and replica `q` alone when queues are partitioned (queue
+    /// `i` then belongs to replica `i`).
+    fn wake(&mut self, ctx: &mut SimContext<'_, Event>, q: usize) {
+        if let Some(max_wait) = self.policy.flush_after() {
+            self.refresh_expired(ctx.now(), max_wait);
             self.kick_all(ctx);
             self.arm_flush_timers(ctx);
+        } else if self.queues.len() == 1 {
+            for r in 0..self.states.len() {
+                self.kick(ctx, r, false);
+            }
+        } else {
+            self.kick(ctx, q, false);
         }
     }
 
@@ -435,8 +554,8 @@ impl UnifiedFloor {
         let q = self.queue_of[replica];
         let meta = &self.set.meta[replica];
         let mut lane = Lane {
-            prompt_len: self.prompt_len,
-            new_tokens: self.new_tokens,
+            prompt_len: self.shape.prompt_len,
+            new_tokens: self.shape.new_tokens,
             lat: &self.set.lat[meta.platform_idx],
             now,
             replica,
@@ -454,49 +573,34 @@ impl UnifiedFloor {
     }
 
     /// Starts the next iteration on replica `r` if it is idle, routable,
-    /// and has work (targeted wake-up).
-    fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize) {
+    /// and has work; `flush` forces a partial static batch.
+    fn kick(&mut self, ctx: &mut SimContext<'_, Event>, r: usize, flush: bool) {
         if self.states[r].busy || matches!(self.set.meta[r].state, RState::Launching | RState::Down)
         {
             return;
         }
         let now = ctx.now();
-        let dur = self.with_lane(now, r, |policy, lane| policy.next_iteration(lane, false));
+        let dur = self.with_lane(now, r, |policy, lane| policy.next_iteration(lane, flush));
         if let Some(dur) = dur {
             self.states[r].busy = true;
             ctx.schedule(now + dur, Event::IterationDone(r));
         }
     }
 
-    /// Starts work on every idle replica that has something to do.
-    /// `expired_buf` marks queues whose oldest waiter timed out (forcing a
-    /// partial static batch); the caller fills it once per pass so a
-    /// replica consuming a queue's head cannot change the flush decision
-    /// for the replicas after it.
+    /// The flush-window sweep: offers work to every replica, flushing
+    /// those whose queue `expired_buf` marks as timed out. The caller
+    /// fills `expired_buf` once per pass so a replica consuming a queue's
+    /// head cannot change the flush decision for the replicas after it.
     fn kick_all(&mut self, ctx: &mut SimContext<'_, Event>) {
-        let now = ctx.now();
-        for replica in 0..self.states.len() {
-            if self.states[replica].busy {
-                continue;
-            }
-            let flush = self.expired_buf[self.queue_of[replica]];
-            let dur = self.with_lane(now, replica, |policy, lane| {
-                policy.next_iteration(lane, flush)
-            });
-            if let Some(dur) = dur {
-                self.states[replica].busy = true;
-                ctx.schedule(now + dur, Event::IterationDone(replica));
-            }
+        for r in 0..self.states.len() {
+            let flush = self.expired_buf[self.queue_of[r]];
+            self.kick(ctx, r, flush);
         }
     }
 
     /// Refills `expired_buf` with which queues' oldest pending arrival has
-    /// waited the policy's full flush window.
-    fn refresh_expired(&mut self, now: SimTime) {
-        let Some(max_wait) = self.policy.flush_after() else {
-            self.expired_buf.iter_mut().for_each(|e| *e = false);
-            return;
-        };
+    /// waited the policy's full flush window `max_wait`.
+    fn refresh_expired(&mut self, now: SimTime, max_wait: SimDuration) {
         for (e, q) in self.expired_buf.iter_mut().zip(&self.queues) {
             *e = q
                 .front()
@@ -538,9 +642,9 @@ impl UnifiedFloor {
     }
 
     /// Refills `load_buf` with per-replica load snapshots for the
-    /// routers. A targeted set additionally marks pool/state eligibility
-    /// for the routed direction (`arrivals` or handoffs); a broadcast set
-    /// leaves every replica eligible.
+    /// routers, marking which replicas are up and serve the routed
+    /// direction (`arrivals` or handoffs). In a one-pool, always-up set
+    /// every replica stays eligible.
     fn snapshot_load(&mut self, arrivals: bool) {
         let UnifiedFloor {
             set,
@@ -560,9 +664,6 @@ impl UnifiedFloor {
             eligible: true,
             unit_cost_ns: set.meta[r].unit_cost_ns,
         }));
-        if !set.targeted {
-            return;
-        }
         let want = |m: &ReplicaMeta| {
             if arrivals {
                 matches!(m.pool, PoolRole::Unified | PoolRole::Prefill)
@@ -664,7 +765,7 @@ impl UnifiedFloor {
         let Some(auto) = self.set.autoscale else {
             return;
         };
-        let all_done = self.obs.completed_total() >= self.requests;
+        let all_done = self.obs.completed_total() >= self.shape.requests;
         if !all_done {
             let pools: &[PoolRole] = if self.set.disagg {
                 &[PoolRole::Prefill, PoolRole::Decode]
@@ -722,13 +823,7 @@ impl UnifiedFloor {
                 platform_idx,
                 pool,
                 state: RState::Launching,
-                unit_cost_ns: unit_cost_ns(
-                    &self.set.lat[platform_idx],
-                    pool,
-                    self.max_batch,
-                    self.prompt_len,
-                    self.new_tokens,
-                ),
+                unit_cost_ns: unit_cost_ns(&self.set.lat[platform_idx], pool, self.shape),
             });
             self.set.links.push(LinkRt::default());
             self.states.push(ReplicaState::default());
@@ -842,17 +937,39 @@ impl UnifiedFloor {
     }
 }
 
-/// Drives the event loop to completion (or to the first blown budget),
-/// returning whether the run aborted. Bounded runs step the same loop
-/// one event at a time with incremental miss and bill bookkeeping, so a
-/// run no budget stops is byte-identical to the unbounded run.
+/// A simulator with every arrival scheduled, and the first arrival
+/// instant (the makespan's origin). Both fronts call this before they
+/// build the floor, because peak RSS depends on allocation order under
+/// glibc malloc: with the event queue allocated after the floor's
+/// recording buffers, the `serve_kv` benchmark peaked about 9 MB (9%)
+/// higher (2-core Xeon, glibc 2.36).
+pub(crate) fn schedule_arrivals(
+    arrivals: impl IntoIterator<Item = Request>,
+) -> (Simulator<Event>, Option<SimTime>) {
+    let mut sim = Simulator::new();
+    let mut first_arrival = None;
+    for req in arrivals {
+        first_arrival.get_or_insert(req.arrival);
+        sim.schedule(req.arrival, Event::Arrival(req));
+    }
+    (sim, first_arrival)
+}
+
+/// Schedules the autoscaler's first tick, drives the event loop to
+/// completion or to the first blown budget, and bills the set for the
+/// span simulated. Returns whether the run aborted. Bounded runs step the
+/// same loop one event at a time with incremental miss and bill
+/// bookkeeping, so a run no budget stops is byte-identical to the
+/// unbounded run.
 pub(crate) fn run_unified(
     floor: &mut UnifiedFloor,
-    sim: &mut Simulator<Event>,
+    mut sim: Simulator<Event>,
     stop: StopCondition,
     slo: SloTargets,
-    cost: CostBasis,
 ) -> bool {
+    if let Some(auto) = &floor.set.autoscale {
+        sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
+    }
     let mut aborted = false;
     if stop.is_unbounded() {
         sim.run(|ctx, event| floor.handle(ctx, event));
@@ -865,21 +982,20 @@ pub(crate) fn run_unified(
                 noted += 1;
                 guard.note(f.ttft, f.e2e);
             }
-            let accrued = || match cost {
-                CostBasis::FixedReplicas(n) => {
-                    f64::from(n)
-                        * sim
-                            .now()
-                            .saturating_duration_since(SimTime::ZERO)
-                            .as_secs_f64()
-                }
-                CostBasis::Billed => floor.set.accrued_replica_seconds(sim.now()),
-            };
-            if guard.miss_budget_blown() || (guard.wants_cost() && guard.cost_blown(accrued())) {
+            if guard.miss_budget_blown()
+                || (guard.wants_cost()
+                    && guard.cost_blown(floor.set.accrued_replica_seconds(sim.now())))
+            {
                 aborted = true;
                 break;
             }
         }
     }
+    // An aborted run bills the span actually simulated: the truncated
+    // report still prices what the run rented before it was called off.
+    let end = floor.last_completion.max(floor.set.last_bill);
+    floor
+        .set
+        .bill(if aborted { sim.now().max(end) } else { end });
     aborted
 }

@@ -155,6 +155,40 @@ fn require_at_least_one(flag: &str, v: u32) -> Result<(), String> {
     }
 }
 
+/// `skip serve` flags only single-node serving reads; a fleet run would
+/// ignore them.
+const SINGLE_NODE_FLAGS: [&str; 7] = [
+    "platform",
+    "replicas",
+    "router",
+    "batch-size",
+    "max-wait-ms",
+    "kv-blocks",
+    "offload",
+];
+
+/// `skip serve` flags only fleet serving reads; a single-node run would
+/// ignore them.
+const FLEET_FLAGS: [&str; 8] = [
+    "fleet-router",
+    "disagg",
+    "autoscale",
+    "arrivals",
+    "peak-qps",
+    "period-ms",
+    "burst-ms",
+    "lull-ms",
+];
+
+/// Rejects the first of `names` present in `flags`: a flag the chosen
+/// mode would silently ignore is an error, not a no-op.
+fn reject_flags(flags: &BTreeMap<String, String>, names: &[&str], why: &str) -> Result<(), String> {
+    match names.iter().find(|n| flags.contains_key(**n)) {
+        Some(n) => Err(format!("--{n} {why}")),
+        None => Ok(()),
+    }
+}
+
 fn cmd_profile(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
@@ -282,6 +316,7 @@ fn cmd_generate(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> 
     let batch = get_u32(flags, "batch", 1)?;
     let seq = get_u32(flags, "seq", 512)?;
     let tokens = get_u32(flags, "tokens", 32)?;
+    require_at_least_one("tokens", tokens)?;
 
     let r = Engine::new(platform.clone()).generate(&model, batch, seq, tokens, ExecMode::Eager);
     println!(
@@ -356,6 +391,8 @@ fn cmd_serve_fleet(
             .into())
         }
     };
+    let new_tokens = get_u32(flags, "tokens", 8)?;
+    require_at_least_one("tokens", new_tokens)?;
     let cfg = FleetConfig {
         spec,
         model: model.clone(),
@@ -363,7 +400,7 @@ fn cmd_serve_fleet(
         requests: get_u32(flags, "requests", 100)?,
         arrivals,
         prompt_len: get_u32(flags, "seq", 128)?,
-        new_tokens: get_u32(flags, "tokens", 8)?,
+        new_tokens,
         seed: 2026,
         slo: SloTargets {
             ttft: get_slo_ms(flags, "slo-ttft-ms")?,
@@ -455,13 +492,15 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         ttft: get_slo_ms(flags, "slo-ttft-ms")?,
         e2e: get_slo_ms(flags, "slo-e2e-ms")?,
     };
+    let new_tokens = get_u32(flags, "tokens", 8)?;
+    require_at_least_one("tokens", new_tokens)?;
     let mut cfg = PlannerConfig::new(TrafficEnvelope {
         model: model.clone(),
         qps,
         peak_qps,
         requests: get_u32(flags, "requests", 64)?,
         prompt_len: get_u32(flags, "seq", 256)?,
-        new_tokens: get_u32(flags, "tokens", 8)?,
+        new_tokens,
         seed: 2026,
         slo,
     });
@@ -539,8 +578,10 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
 fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
     let model = find_model(flags.get("model").ok_or("--model is required")?)?;
     if let Some(spec) = flags.get("fleet") {
+        reject_flags(flags, &SINGLE_NODE_FLAGS, "has no effect with --fleet")?;
         return cmd_serve_fleet(flags, model, spec);
     }
+    reject_flags(flags, &FLEET_FLAGS, "needs --fleet")?;
     let platform = find_platform(flags.get("platform").map_or("intel_h100", String::as_str))?;
     let qps: f64 = flags
         .get("qps")
@@ -574,6 +615,7 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         .map_or(Ok(OffloadPolicy::Auto), |v| OffloadPolicy::parse(v))?;
     let prompt_len = get_u32(flags, "seq", 128)?;
     let new_tokens = get_u32(flags, "tokens", 8)?;
+    require_at_least_one("tokens", new_tokens)?;
     let slo = SloTargets {
         ttft: get_slo_ms(flags, "slo-ttft-ms")?,
         e2e: get_slo_ms(flags, "slo-e2e-ms")?,

@@ -3,7 +3,8 @@
 //! carried its own copy of the SLO-flag parser and its own zero-count
 //! check, and the messages drifted; both now route through shared
 //! helpers, and these tests pin the unified wording end to end — argv in,
-//! stderr out.
+//! stderr out. They also pin that no input is silently ignored or
+//! clamped: flags of the other `skip serve` mode and `--tokens 0` fail.
 
 use std::process::Command;
 
@@ -121,4 +122,54 @@ fn library_validators_share_the_cli_wording() {
         planner.validate().unwrap_err().to_string(),
         "offered load must be positive and finite, got 0"
     );
+}
+
+/// A flag the chosen `skip serve` mode would ignore is an error that
+/// names it: otherwise the user gets a run they did not ask for,
+/// reported as success.
+#[test]
+fn serve_rejects_flags_the_chosen_mode_would_ignore() {
+    let fleet = ["serve", "--model", "gpt2", "--fleet", "intel_h100:2"];
+    for (flag, value) in [
+        ("--kv-blocks", "4"),
+        ("--offload", "swap"),
+        ("--router", "jsq"),
+        ("--replicas", "2"),
+        ("--platform", "gh200"),
+        ("--batch-size", "4"),
+        ("--max-wait-ms", "10"),
+    ] {
+        let err = skip_err(&[&fleet[..], &[flag, value]].concat());
+        assert_eq!(err, format!("error: {flag} has no effect with --fleet"));
+    }
+
+    let single = ["serve", "--model", "gpt2"];
+    for flags in [
+        &["--fleet-router", "rr"][..],
+        &["--disagg"],
+        &["--autoscale"],
+        &["--arrivals", "bursty"],
+        &["--peak-qps", "300"],
+        &["--period-ms", "1000"],
+        &["--burst-ms", "100"],
+        &["--lull-ms", "100"],
+    ] {
+        let err = skip_err(&[&single[..], flags].concat());
+        assert_eq!(err, format!("error: {} needs --fleet", flags[0]));
+    }
+}
+
+/// `--tokens 0` is rejected with the shared wording, not clamped to one
+/// generated token, in every subcommand that takes it.
+#[test]
+fn zero_tokens_are_rejected_in_every_subcommand() {
+    for args in [
+        &["serve", "--model", "gpt2"][..],
+        &["serve", "--model", "gpt2", "--fleet", "intel_h100:2"],
+        &["plan", "--model", "gpt2"],
+        &["generate", "--model", "gpt2"],
+    ] {
+        let err = skip_err(&[args, &["--tokens", "0"]].concat());
+        assert_eq!(err, "error: --tokens must be at least 1", "{args:?}");
+    }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, release build, full test suite.
+# CI gate: formatting, lints, release build, full test suite, benchmark output checks.
 # Everything runs offline against the vendored workspace dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -74,6 +74,19 @@ grep -q "pruned sweep:" <<<"$plan8_out"
 
 echo "== parallel determinism (byte-identical renders at any --threads) =="
 cargo test --release --test parallel_determinism -q
+
+echo "== perfbench output checks (every workload once: digests and paper accuracy, not times) =="
+# perfbench is a workspace of its own; its last line is one JSON object
+# whose "correct" covers every output digest against perfbench/ref
+for workload in characterize serve_kv fleet_autoscale plan_grid; do
+  bench_out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0)
+  bench_last=$(tail -n 1 <<<"$bench_out")
+  if ! grep -q '"correct": true' <<<"$bench_last" || ! grep -qE '"failed": 0[,}]' <<<"$bench_last"; then
+    echo "perfbench $workload failed its output checks: $bench_last"
+    exit 1
+  fi
+done
 
 echo "== perf suite (writes BENCH_SUITE.json; >2x wall + throughput-drop gates," \
      "plus the 100k-request population smoke under an absolute wall budget) =="

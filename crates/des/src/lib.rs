@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod capacity;
 mod event;
 mod ids;
 mod resource;
@@ -46,10 +45,9 @@ mod sim;
 mod stats;
 mod time;
 
-pub use capacity::{CapacityResource, Placement};
 pub use event::{EventQueue, HeapEventQueue, Scheduled};
 pub use ids::IdAllocator;
 pub use resource::{Busy, FifoResource};
 pub use sim::{SimContext, Simulator};
-pub use stats::{attainment, mean, percentile, Summary};
+pub use stats::{attainment, mean, percentile};
 pub use time::{SimDuration, SimTime};

@@ -1,11 +1,9 @@
 //! Small statistics helpers shared across the stack.
 //!
 //! The profiler and the experiment harness repeatedly need means,
-//! percentiles and min/max summaries of nanosecond samples; centralizing
+//! percentiles and attainment fractions of nanosecond samples; centralizing
 //! them here keeps the implementations consistent (nearest-rank percentile,
 //! empty-input behaviour) everywhere a figure is produced.
-
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic mean of `samples`; `0.0` for an empty slice.
 ///
@@ -91,56 +89,6 @@ pub fn attainment(samples: &[f64], threshold: f64) -> f64 {
     samples.iter().filter(|&&s| s <= threshold).count() as f64 / samples.len() as f64
 }
 
-/// A five-number-ish summary of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (nearest rank).
-    pub p50: f64,
-    /// 99th percentile (nearest rank).
-    pub p99: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarizes `samples`; all fields zero for an empty slice.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use skip_des::Summary;
-    ///
-    /// let s = Summary::of(&[3.0, 1.0, 2.0]);
-    /// assert_eq!(s.count, 3);
-    /// assert_eq!(s.min, 1.0);
-    /// assert_eq!(s.max, 3.0);
-    /// assert_eq!(s.p50, 2.0);
-    /// ```
-    #[must_use]
-    pub fn of(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return Summary::default();
-        }
-        // One scratch buffer serves all four selections; each is an O(n)
-        // partial reorder, so the summary costs one allocation total.
-        let mut scratch = samples.to_vec();
-        Summary {
-            count: samples.len(),
-            mean: mean(samples),
-            min: select_nearest_rank(&mut scratch, 0.0),
-            p50: select_nearest_rank(&mut scratch, 50.0),
-            p99: select_nearest_rank(&mut scratch, 99.0),
-            max: select_nearest_rank(&mut scratch, 100.0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,23 +111,6 @@ mod tests {
         let xs = [1.0, 2.0];
         assert_eq!(percentile(&xs, -10.0), 1.0);
         assert_eq!(percentile(&xs, 400.0), 2.0);
-    }
-
-    #[test]
-    fn summary_consistency() {
-        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        let s = Summary::of(&xs);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p99, 99.0);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_of_empty_is_default() {
-        assert_eq!(Summary::of(&[]), Summary::default());
     }
 
     /// The sorted-oracle implementation `percentile` replaced: full sort,

@@ -34,6 +34,27 @@ pub(crate) mod check {
     pub(crate) fn at_least_one(label: &str) -> String {
         format!("{label} must be at least 1")
     }
+
+    /// The longest context, in tokens, a request may reach: prices are
+    /// looked up by context length rounded up to a power of two in a
+    /// `u32`, and 2^31 is the largest such power.
+    pub(crate) const MAX_CONTEXT_TOKENS: u32 = 1 << 31;
+
+    /// Whether a request of `prompt_len` prompt tokens that generates
+    /// `new_tokens` stays within [`MAX_CONTEXT_TOKENS`].
+    pub(crate) fn context_fits(prompt_len: u32, new_tokens: u32) -> bool {
+        prompt_len
+            .checked_add(new_tokens)
+            .is_some_and(|total| total <= MAX_CONTEXT_TOKENS)
+    }
+
+    /// A prompt plus generated tokens past [`MAX_CONTEXT_TOKENS`].
+    pub(crate) fn context_too_long(prompt_len: u32, new_tokens: u32) -> String {
+        format!(
+            "prompt length {prompt_len} plus {new_tokens} new tokens exceeds the \
+             {MAX_CONTEXT_TOKENS}-token (2^31) context limit"
+        )
+    }
 }
 
 /// Batching policy of the serving endpoint.
@@ -225,6 +246,13 @@ pub enum ConfigError {
     ZeroChunkedBatch,
     /// A chunked-prefill policy with `chunk_tokens` zero.
     ZeroChunkTokens,
+    /// `prompt_len + new_tokens` exceeds the 2^31-token context limit.
+    ContextTooLong {
+        /// Prompt tokens per request.
+        prompt_len: u32,
+        /// Generated tokens per request.
+        new_tokens: u32,
+    },
     /// A KV budget with zero blocks.
     ZeroKvBlocks,
     /// A KV budget with zero tokens per block.
@@ -256,6 +284,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroChunkTokens => {
                 f.write_str(&check::at_least_one("chunked-prefill chunk_tokens"))
             }
+            ConfigError::ContextTooLong {
+                prompt_len,
+                new_tokens,
+            } => f.write_str(&check::context_too_long(prompt_len, new_tokens)),
             ConfigError::ZeroKvBlocks => f.write_str(&check::at_least_one("KV pool blocks")),
             ConfigError::ZeroBlockTokens => f.write_str(&check::at_least_one("KV block_tokens")),
             ConfigError::KvPoolTooSmall { blocks, needed } => write!(
@@ -308,6 +340,12 @@ impl ServingConfig {
             }
             _ => {}
         }
+        if !check::context_fits(self.prompt_len, self.new_tokens) {
+            return Err(ConfigError::ContextTooLong {
+                prompt_len: self.prompt_len,
+                new_tokens: self.new_tokens,
+            });
+        }
         if let Some(kv) = self.kv {
             if kv.blocks_per_replica == 0 {
                 return Err(ConfigError::ZeroKvBlocks);
@@ -353,6 +391,29 @@ mod tests {
     #[test]
     fn valid_config_passes() {
         assert_eq!(valid().validate(), Ok(()));
+    }
+
+    /// A context past 2^31 tokens would wrap the latency model's
+    /// power-of-two price bucket to zero, so validation refuses it, and
+    /// checks the sum without overflowing `u32` itself.
+    #[test]
+    fn context_past_the_price_bucket_limit_is_rejected() {
+        let mut c = valid();
+        c.prompt_len = (1 << 31) - 4;
+        assert_eq!(c.validate(), Ok(()));
+        for (prompt_len, new_tokens) in [((1 << 31) - 3, 4), (4_000_000_000, 8), (u32::MAX, 1)] {
+            c.prompt_len = prompt_len;
+            c.new_tokens = new_tokens;
+            let err = c.validate().unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::ContextTooLong {
+                    prompt_len,
+                    new_tokens
+                }
+            );
+            assert!(err.to_string().contains("2147483648-token"), "{err}");
+        }
     }
 
     #[test]

@@ -359,6 +359,72 @@ mod tests {
         assert!(report.replica_seconds > 0.0);
     }
 
+    /// The floor's list of non-`Down` replicas, which every per-event
+    /// scan walks, matches the replica states after every event of a
+    /// fleet that launches and drains many replicas.
+    #[test]
+    fn alive_list_tracks_replica_states_through_churn() {
+        use crate::unified::Event;
+
+        let mut cfg = base(FleetSpec::disaggregated(
+            Platform::gh200(),
+            1,
+            Platform::intel_h100(),
+            1,
+        ));
+        cfg.requests = 600;
+        cfg.new_tokens = 4;
+        cfg.arrivals = ArrivalProcess::Bursty {
+            base_rate_per_s: 2.0,
+            burst_rate_per_s: 400.0,
+            burst_len: SimDuration::from_millis(150),
+            lull_len: SimDuration::from_millis(600),
+        };
+        let auto = AutoscaleConfig {
+            interval: SimDuration::from_millis(40),
+            high_load: 3.0,
+            low_load: 1.0,
+            min_per_pool: 1,
+            max_per_pool: 4,
+            provision_delay: SimDuration::from_millis(20),
+        };
+        cfg.autoscale = Some(auto);
+        let shape = RunShape {
+            prompt_len: cfg.prompt_len,
+            new_tokens: cfg.new_tokens,
+            max_batch: cfg.max_batch,
+            requests: cfg.requests,
+        };
+        let set = ReplicaSet::new(
+            &cfg.spec.groups,
+            &cfg.model,
+            shape,
+            || cfg.router.build(),
+            cfg.autoscale,
+        );
+        let arrivals = cfg.arrivals.generate(
+            cfg.requests as usize,
+            cfg.prompt_len,
+            cfg.new_tokens,
+            cfg.seed,
+        );
+        let (mut sim, _) = schedule_arrivals(arrivals);
+        let obs = FloorObs::Fleet(FleetTrace::new(cfg.model.name.clone(), cfg.spec.label()));
+        let policy = cfg.policy.build(cfg.max_batch);
+        let mut floor = UnifiedFloor::new(set, policy, None, obs, shape);
+        sim.schedule(SimTime::ZERO + auto.interval, Event::ScaleTick);
+        floor.assert_alive_list();
+        while sim.step(|ctx, event| floor.handle(ctx, event)) {
+            floor.assert_alive_list();
+        }
+        assert_eq!(floor.finished.len(), 600);
+        assert!(
+            floor.set.scale_downs >= 50,
+            "only {} replicas drained to Down",
+            floor.set.scale_downs
+        );
+    }
+
     /// Launch cost is coupling-derived: the same scale-up on gh200 pays a
     /// C2C weight load, on amd_a100 a PCIe Gen4 one — visible in when the
     /// first replica comes up.

@@ -127,6 +127,14 @@ pub enum PlanError {
     ),
     /// The platform menu is empty — no candidate can be enumerated.
     NoPlatforms,
+    /// The envelope's `prompt_len + new_tokens` exceeds the 2^31-token
+    /// context limit.
+    ContextTooLong {
+        /// Prompt tokens per request.
+        prompt_len: u32,
+        /// Generated tokens per request.
+        new_tokens: u32,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -139,6 +147,10 @@ impl fmt::Display for PlanError {
             PlanError::EmptyEnvelope => f.write_str(check::ZERO_REQUESTS),
             PlanError::BadLoad(v) => f.write_str(&check::positive_rate("offered load", *v)),
             PlanError::NoPlatforms => write!(f, "the platform menu is empty"),
+            PlanError::ContextTooLong {
+                prompt_len,
+                new_tokens,
+            } => f.write_str(&check::context_too_long(*prompt_len, *new_tokens)),
         }
     }
 }
@@ -205,6 +217,13 @@ impl PlannerConfig {
         }
         if self.platforms.is_empty() {
             return Err(PlanError::NoPlatforms);
+        }
+        let (prompt_len, new_tokens) = (self.envelope.prompt_len, self.envelope.new_tokens);
+        if !check::context_fits(prompt_len, new_tokens) {
+            return Err(PlanError::ContextTooLong {
+                prompt_len,
+                new_tokens,
+            });
         }
         Ok(())
     }
@@ -1152,6 +1171,28 @@ mod tests {
         assert!(PlanError::ZeroMaxReplicas
             .to_string()
             .contains("at least 1"));
+    }
+
+    /// The planner refuses a traffic envelope whose context passes 2^31
+    /// tokens, which the latency model's power-of-two price bucket cannot
+    /// hold.
+    #[test]
+    fn envelope_context_past_the_price_bucket_limit_is_rejected() {
+        let mut cfg = small_planner();
+        cfg.envelope.prompt_len = (1 << 31) - cfg.envelope.new_tokens;
+        assert_eq!(cfg.validate(), Ok(()));
+        for prompt_len in [cfg.envelope.prompt_len + 1, 4_000_000_000, u32::MAX] {
+            cfg.envelope.prompt_len = prompt_len;
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(
+                err,
+                PlanError::ContextTooLong {
+                    prompt_len,
+                    new_tokens: cfg.envelope.new_tokens
+                }
+            );
+            assert!(err.to_string().contains("2147483648-token"), "{err}");
+        }
     }
 
     #[test]

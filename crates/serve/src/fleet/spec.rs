@@ -377,6 +377,13 @@ pub enum FleetError {
     ZeroMaxBatch,
     /// Chunked prefill with a zero token budget.
     ZeroChunkTokens,
+    /// `prompt_len + new_tokens` exceeds the 2^31-token context limit.
+    ContextTooLong {
+        /// Prompt tokens per request.
+        prompt_len: u32,
+        /// Generated tokens per request.
+        new_tokens: u32,
+    },
     /// The arrival process has a non-positive or non-finite rate.
     BadArrivals(
         /// What is wrong with it.
@@ -408,6 +415,10 @@ impl fmt::Display for FleetError {
             FleetError::ZeroChunkTokens => {
                 f.write_str(&check::at_least_one("chunked-prefill chunk_tokens"))
             }
+            FleetError::ContextTooLong {
+                prompt_len,
+                new_tokens,
+            } => f.write_str(&check::context_too_long(*prompt_len, *new_tokens)),
             FleetError::BadArrivals(msg) => write!(f, "bad arrival process: {msg}"),
             FleetError::BadAutoscale(msg) => write!(f, "bad autoscale config: {msg}"),
         }
@@ -450,6 +461,12 @@ impl FleetConfig {
         }
         if self.policy == (FleetBatchPolicy::ChunkedPrefill { chunk_tokens: 0 }) {
             return Err(FleetError::ZeroChunkTokens);
+        }
+        if !check::context_fits(self.prompt_len, self.new_tokens) {
+            return Err(FleetError::ContextTooLong {
+                prompt_len: self.prompt_len,
+                new_tokens: self.new_tokens,
+            });
         }
         self.arrivals.validate().map_err(FleetError::BadArrivals)?;
         if let Some(a) = &self.autoscale {
@@ -565,6 +582,28 @@ mod tests {
             ..AutoscaleConfig::default()
         });
         assert!(matches!(c.validate(), Err(FleetError::BadAutoscale(_))));
+    }
+
+    /// The fleet validator refuses a context past 2^31 tokens, which the
+    /// latency model's power-of-two price bucket cannot hold.
+    #[test]
+    fn context_past_the_price_bucket_limit_is_rejected() {
+        let mut c = valid();
+        c.prompt_len = (1 << 31) - 8;
+        assert_eq!(c.validate(), Ok(()));
+        for (prompt_len, new_tokens) in [((1 << 31) - 7, 8), (4_000_000_000, 8), (u32::MAX, 8)] {
+            c.prompt_len = prompt_len;
+            c.new_tokens = new_tokens;
+            let err = c.validate().unwrap_err();
+            assert_eq!(
+                err,
+                FleetError::ContextTooLong {
+                    prompt_len,
+                    new_tokens
+                }
+            );
+            assert!(err.to_string().contains("2147483648-token"), "{err}");
+        }
     }
 
     #[test]

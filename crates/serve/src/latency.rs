@@ -67,7 +67,7 @@ const CACHE_SHARDS: usize = 16;
 
 /// Memoizing wrapper around [`Engine`] for serving simulations.
 ///
-/// The key map is split into [`CACHE_SHARDS`] independently-locked shards
+/// The key map is split into 16 independently-locked shards
 /// (selected by a mix of the key's fields) so a `LatencyModel` is `Sync`
 /// and concurrent sweep workers touching *different* keys rarely contend
 /// on the same `Mutex` — the former single map made every lookup serialize

@@ -16,7 +16,9 @@
 //! (static batching) sweeps every replica against fresh timer expiry; any
 //! other policy kicks only the replicas that pull from the queue an event
 //! touched — every replica when the queue is shared, one when queues are
-//! partitioned.
+//! partitioned. Every per-event scan walks [`ReplicaSet::alive`], the
+//! replicas that are not `Down`, so an event costs in proportion to the
+//! live fleet, not to every replica an autoscaled run ever launched.
 //!
 //! Scheduling itself still lives behind the three seams: the
 //! [`Router`] picks a queue for each arrival (and a destination for each
@@ -189,6 +191,11 @@ pub(crate) struct ReplicaSet {
     pub(crate) platforms: Vec<Platform>,
     pub(crate) lat: Vec<LatencyModel>,
     pub(crate) meta: Vec<ReplicaMeta>,
+    /// Ascending indices of every replica not [`RState::Down`]: the only
+    /// ones a per-event scan has to visit. `Down` is terminal and a new
+    /// replica always takes the largest index, so appending on scale-up
+    /// and filtering on drain keep it sorted.
+    pub(crate) alive: Vec<usize>,
     pub(crate) links: Vec<LinkRt>,
     /// Routes arrivals to a queue.
     pub(crate) arrival_router: Box<dyn Router>,
@@ -250,6 +257,7 @@ impl ReplicaSet {
             platforms,
             lat,
             meta,
+            alive: (0..n).collect(),
             links: (0..n).map(|_| LinkRt::default()).collect(),
             arrival_router: router(),
             handoff_router: router(),
@@ -270,9 +278,9 @@ impl ReplicaSet {
     }
 
     fn live_count(&self) -> u32 {
-        self.meta
+        self.alive
             .iter()
-            .filter(|m| matches!(m.state, RState::Up | RState::Draining))
+            .filter(|&&r| matches!(self.meta[r].state, RState::Up | RState::Draining))
             .count() as u32
     }
 
@@ -454,11 +462,8 @@ impl UnifiedFloor {
             Event::Arrival(req) => {
                 self.obs.record(req.id, now, LifecycleKind::Arrived);
                 self.snapshot_load(true);
-                let q = self
-                    .set
-                    .arrival_router
-                    .route(&req, &self.load_buf)
-                    .min(self.queues.len() - 1);
+                let k = self.set.arrival_router.route(&req, &self.load_buf);
+                let q = self.picked(k);
                 self.queues[q].push_back(req);
                 self.wake(ctx, q);
             }
@@ -535,8 +540,8 @@ impl UnifiedFloor {
             self.kick_all(ctx);
             self.arm_flush_timers(ctx);
         } else if self.queues.len() == 1 {
-            for r in 0..self.states.len() {
-                self.kick(ctx, r, false);
+            for k in 0..self.set.alive.len() {
+                self.kick(ctx, self.set.alive[k], false);
             }
         } else {
             self.kick(ctx, q, false);
@@ -592,7 +597,8 @@ impl UnifiedFloor {
     /// fills `expired_buf` once per pass so a replica consuming a queue's
     /// head cannot change the flush decision for the replicas after it.
     fn kick_all(&mut self, ctx: &mut SimContext<'_, Event>) {
-        for r in 0..self.states.len() {
+        for k in 0..self.set.alive.len() {
+            let r = self.set.alive[k];
             let flush = self.expired_buf[self.queue_of[r]];
             self.kick(ctx, r, flush);
         }
@@ -641,10 +647,12 @@ impl UnifiedFloor {
         }
     }
 
-    /// Refills `load_buf` with per-replica load snapshots for the
-    /// routers, marking which replicas are up and serve the routed
+    /// Refills `load_buf` with one load snapshot per non-`Down` replica,
+    /// in `alive` order, marking which are up and serve the routed
     /// direction (`arrivals` or handoffs). In a one-pool, always-up set
-    /// every replica stays eligible.
+    /// every replica stays eligible. Leaving `Down` replicas out changes
+    /// no pick: they are never eligible, every router skips ineligible
+    /// entries, and the ties broken by position keep index order.
     fn snapshot_load(&mut self, arrivals: bool) {
         let UnifiedFloor {
             set,
@@ -656,7 +664,7 @@ impl UnifiedFloor {
             ..
         } = self;
         load_buf.clear();
-        load_buf.extend((0..states.len()).map(|r| ReplicaLoad {
+        load_buf.extend(set.alive.iter().map(|&r| ReplicaLoad {
             queued: queues[queue_of[r]].len() as u32,
             running: states[r].running() as u32,
             parked: mem.as_ref().map_or(0, |m| m.parked_len(r)) as u32,
@@ -672,7 +680,8 @@ impl UnifiedFloor {
             }
         };
         let mut any = false;
-        for (l, m) in load_buf.iter_mut().zip(&set.meta) {
+        for (l, &r) in load_buf.iter_mut().zip(&set.alive) {
+            let m = &set.meta[r];
             l.eligible = m.state == RState::Up && want(m);
             any |= l.eligible;
         }
@@ -680,12 +689,33 @@ impl UnifiedFloor {
             // Degenerate fallback (every candidate mid-drain): route to
             // any non-down replica of the right pool so no request is
             // stranded.
-            for (l, m) in load_buf.iter_mut().zip(&set.meta) {
-                l.eligible = m.state != RState::Down && want(m);
+            for (l, &r) in load_buf.iter_mut().zip(&set.alive) {
+                l.eligible = want(&set.meta[r]);
                 any |= l.eligible;
             }
         }
         assert!(any, "fleet has no routable replica");
+    }
+
+    /// Asserts that `alive` holds exactly the ascending indices of the
+    /// replicas that are not [`RState::Down`].
+    #[cfg(test)]
+    pub(crate) fn assert_alive_list(&self) {
+        let want: Vec<usize> = (0..self.set.meta.len())
+            .filter(|&r| self.set.meta[r].state != RState::Down)
+            .collect();
+        assert_eq!(self.set.alive, want, "alive list out of step with states");
+    }
+
+    /// Maps a router's pick — position `k` in `load_buf` — back to a
+    /// queue or replica index: queue 0 when the queue is shared, else the
+    /// `k`-th non-`Down` replica.
+    fn picked(&self, k: usize) -> usize {
+        if self.queues.len() == 1 {
+            0
+        } else {
+            self.set.alive[k]
+        }
     }
 
     /// Starts every handoff the retire just parked in the scratch buffer
@@ -711,11 +741,8 @@ impl UnifiedFloor {
         now: SimTime,
     ) {
         self.snapshot_load(false);
-        let dst = self
-            .set
-            .handoff_router
-            .route(&req, &self.load_buf)
-            .min(self.queues.len() - 1);
+        let k = self.set.handoff_router.route(&req, &self.load_buf);
+        let dst = self.picked(k);
         // Prompt plus the first token produced by prefill, in whole
         // blocks — what paged attention actually migrates.
         let bytes = self
@@ -787,20 +814,17 @@ impl UnifiedFloor {
         auto: AutoscaleConfig,
         now: SimTime,
     ) {
-        // One counting pass over the pool: outstanding work, up/launching
-        // tallies, the newest up replica (drain victim), and the pool's
-        // seed platform — no per-tick index vectors.
+        // One counting pass over the pool's non-`Down` replicas (a `Down`
+        // one has no backlog and counts as neither up nor launching):
+        // outstanding work, up/launching tallies, and the newest up
+        // replica (drain victim) — no per-tick index vectors.
         let mut outstanding = 0u32;
         let mut up_count = 0u32;
         let mut last_up = None;
         let mut launching = 0u32;
-        let mut seed_platform = None;
-        for i in 0..self.set.meta.len() {
+        for &i in &self.set.alive {
             if self.set.meta[i].pool != pool {
                 continue;
-            }
-            if seed_platform.is_none() {
-                seed_platform = Some(self.set.meta[i].platform_idx);
             }
             outstanding += self.backlog(i);
             match self.set.meta[i].state {
@@ -814,8 +838,15 @@ impl UnifiedFloor {
         }
         let pressure = f64::from(outstanding) / f64::from(up_count.max(1));
         if pressure > auto.high_load && (up_count + launching) < auto.max_per_pool {
-            // Clone the pool's seed platform for the new replica.
-            let platform_idx = seed_platform.expect("pool has at least one replica");
+            // Clone the pool's seed platform (its first replica, `Down`
+            // or not) for the new replica.
+            let platform_idx = self
+                .set
+                .meta
+                .iter()
+                .find(|m| m.pool == pool)
+                .expect("pool has at least one replica")
+                .platform_idx;
             let launch_cost = auto.provision_delay
                 + self.set.platforms[platform_idx].h2d_transfer(self.set.weight_bytes);
             let new_idx = self.set.meta.len();
@@ -825,6 +856,7 @@ impl UnifiedFloor {
                 state: RState::Launching,
                 unit_cost_ns: unit_cost_ns(&self.set.lat[platform_idx], pool, self.shape),
             });
+            self.set.alive.push(new_idx);
             self.set.links.push(LinkRt::default());
             self.states.push(ReplicaState::default());
             self.queues.push(VecDeque::new());
@@ -851,9 +883,12 @@ impl UnifiedFloor {
         }
     }
 
-    /// Retires draining replicas whose backlog has fully emptied.
+    /// Retires draining replicas whose backlog has fully emptied, and
+    /// drops them from `alive`.
     fn settle_drains(&mut self, now: SimTime) {
-        for i in 0..self.set.meta.len() {
+        let mut retired = false;
+        for k in 0..self.set.alive.len() {
+            let i = self.set.alive[k];
             let empty = self.set.meta[i].state == RState::Draining
                 && !self.states[i].busy
                 && self.queues[self.queue_of[i]].is_empty()
@@ -863,6 +898,7 @@ impl UnifiedFloor {
                 self.set.bill(now);
                 self.set.meta[i].state = RState::Down;
                 self.set.scale_downs += 1;
+                retired = true;
                 self.obs.push_scaling(ScalingEvent {
                     at: now,
                     pool: self.set.meta[i].pool,
@@ -870,6 +906,10 @@ impl UnifiedFloor {
                     action: ScaleAction::Down,
                 });
             }
+        }
+        if retired {
+            let meta = &self.set.meta;
+            self.set.alive.retain(|&r| meta[r].state != RState::Down);
         }
     }
 
@@ -888,9 +928,10 @@ impl UnifiedFloor {
         } = self;
         match obs {
             FloorObs::Serve(t) => {
-                let running: usize = states.iter().map(ReplicaState::running).sum();
+                let alive_states = || set.alive.iter().map(|&r| &states[r]);
+                let running: usize = alive_states().map(ReplicaState::running).sum();
                 let parked = mem.as_ref().map_or(0, MemoryLayer::parked_total);
-                let busy = states.iter().filter(|s| s.busy).count();
+                let busy = alive_states().filter(|s| s.busy).count();
                 let sample = CounterSample {
                     at: now,
                     queue_depth: queues.iter().map(VecDeque::len).sum::<usize>() as u32,
@@ -908,17 +949,18 @@ impl UnifiedFloor {
                 let mut prefill_queue = 0u32;
                 let mut decode_queue = 0u32;
                 let mut running = 0u32;
-                for (r, m) in set.meta.iter().enumerate() {
+                let mut handoff_queued = 0u32;
+                let mut handoff_inflight = 0u32;
+                for &r in &set.alive {
                     running += states[r].actives.len() as u32;
-                    if m.pool == PoolRole::Decode {
+                    handoff_queued += set.links[r].queue.len() as u32;
+                    handoff_inflight += u32::from(set.links[r].inflight.is_some());
+                    if set.meta[r].pool == PoolRole::Decode {
                         decode_queue += queues[queue_of[r]].len() as u32;
                     } else {
                         prefill_queue += queues[queue_of[r]].len() as u32;
                     }
                 }
-                let handoff_queued: u32 = set.links.iter().map(|l| l.queue.len() as u32).sum();
-                let handoff_inflight =
-                    set.links.iter().filter(|l| l.inflight.is_some()).count() as u32;
                 let live = set.live_count();
                 set.peak_live = set.peak_live.max(live);
                 t.push_sample(FleetSample {

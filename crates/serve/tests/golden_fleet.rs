@@ -5,8 +5,10 @@
 //! and scaling event) of a fixed-seed fleet run, byte for byte — the
 //! fleet-level counterpart of `tests/golden.rs`. Any reordering of
 //! routing decisions, repricing of handoffs, or drift in sampling shows
-//! up as a byte diff here. Regenerate (only when intentionally changing
-//! fleet semantics) with:
+//! up as a byte diff here. A churning autoscaled fleet, whose renders run
+//! to megabytes, is pinned by length and 64-bit FNV-1a digest instead.
+//! Regenerate the fixture files (only when intentionally changing fleet
+//! semantics) with:
 //!
 //! ```text
 //! SKIP_BLESS_GOLDEN=1 cargo test -p skip-serve --test golden_fleet
@@ -19,7 +21,7 @@ use skip_hw::Platform;
 use skip_llm::zoo;
 use skip_serve::{
     simulate_fleet_traced, ArrivalProcess, AutoscaleConfig, FleetBatchPolicy, FleetConfig,
-    FleetRouterPolicy, FleetSpec, SloTargets,
+    FleetReport, FleetRouterPolicy, FleetSpec, FleetTrace, SloTargets,
 };
 
 fn base(spec: FleetSpec) -> FleetConfig {
@@ -79,11 +81,97 @@ fn fixture_path(name: &str) -> PathBuf {
 
 fn render(cfg: &FleetConfig) -> String {
     let (report, trace) = simulate_fleet_traced(cfg);
+    serialize(&report, &trace)
+}
+
+fn serialize(report: &FleetReport, trace: &FleetTrace) -> String {
     format!(
         "{{\"report\":{},\"trace\":{}}}\n",
-        serde_json::to_string(&report).expect("report serializes"),
-        serde_json::to_string(&trace).expect("trace serializes"),
+        serde_json::to_string(report).expect("report serializes"),
+        serde_json::to_string(trace).expect("trace serializes"),
     )
+}
+
+/// 64-bit FNV-1a over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A disaggregated fleet under short bursts and a fast autoscaler, so
+/// replicas launch and drain to `Down` many times in one run.
+fn churning(router: FleetRouterPolicy) -> FleetConfig {
+    let spec = FleetSpec::parse(
+        "prefill=amd_a100:1,prefill=gh200:1,decode=amd_a100:1,decode=intel_h100:1",
+    )
+    .expect("valid fleet spec");
+    let mut cfg = base(spec);
+    cfg.requests = 1_500;
+    cfg.new_tokens = 4;
+    cfg.arrivals = ArrivalProcess::Bursty {
+        base_rate_per_s: 2.0,
+        burst_rate_per_s: 400.0,
+        burst_len: SimDuration::from_millis(150),
+        lull_len: SimDuration::from_millis(600),
+    };
+    cfg.router = router;
+    cfg.autoscale = Some(AutoscaleConfig {
+        interval: SimDuration::from_millis(40),
+        high_load: 3.0,
+        low_load: 1.0,
+        min_per_pool: 1,
+        max_per_pool: 4,
+        provision_delay: SimDuration::from_millis(20),
+    });
+    cfg
+}
+
+/// Frozen `(router, scale-downs, rendered length, FNV-1a digest)` of the
+/// churning fleet under each fleet router. The multi-megabyte renders are
+/// pinned by length and digest instead of fixture files. They were taken
+/// before the floor started skipping `Down` replicas in its per-event
+/// scans, so they hold that change to the old outputs byte for byte.
+const CHURNING_DIGESTS: [(FleetRouterPolicy, u32, usize, u64); 3] = [
+    (
+        FleetRouterPolicy::RoundRobin,
+        120,
+        1_466_345,
+        0xd601_a61b_b9b3_3d58,
+    ),
+    (
+        FleetRouterPolicy::JoinShortestQueue,
+        119,
+        1_502_841,
+        0xd8d5_1edf_4ead_295e,
+    ),
+    (
+        FleetRouterPolicy::CostModelJsq,
+        118,
+        1_502_892,
+        0x1a68_a153_f632_9538,
+    ),
+];
+
+#[test]
+fn churning_autoscaled_fleets_reproduce_frozen_digests() {
+    for (router, downs, len, digest) in CHURNING_DIGESTS {
+        let cfg = churning(router);
+        let (report, trace) = simulate_fleet_traced(&cfg);
+        assert!(
+            report.scale_downs >= 50,
+            "{router:?}: only {} scale-downs, too few to cover drained replicas",
+            report.scale_downs
+        );
+        assert_eq!(report.scale_downs, downs, "{router:?}: scale-down count");
+        let got = serialize(&report, &trace);
+        assert_eq!(got.len(), len, "{router:?}: rendered length drifted");
+        assert_eq!(
+            fnv1a64(got.as_bytes()),
+            digest,
+            "{router:?}: rendered output drifted from the frozen digest"
+        );
+    }
 }
 
 #[test]

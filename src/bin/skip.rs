@@ -20,9 +20,9 @@ use skip_llm::{zoo, ModelConfig, Phase, Workload};
 use skip_runtime::{CompileMode, Engine, ExecMode};
 use skip_serve::fleet::plan;
 use skip_serve::{
-    simulate_fleet_traced, simulate_traced, ArrivalProcess, AutoscaleConfig, FleetBatchPolicy,
-    FleetConfig, FleetRouterPolicy, FleetSpec, KvCacheConfig, OffloadPolicy, PlannerConfig, Policy,
-    RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
+    simulate_fleet_traced, simulate_traced, ArrivalProcess, AutoscaleConfig, ConfigError,
+    FleetBatchPolicy, FleetConfig, FleetError, FleetRouterPolicy, FleetSpec, KvCacheConfig,
+    OffloadPolicy, PlannerConfig, Policy, RouterPolicy, ServingConfig, SloTargets, TrafficEnvelope,
 };
 use skip_trace::chrome;
 
@@ -412,8 +412,14 @@ fn cmd_serve_fleet(
             .contains_key("autoscale")
             .then(AutoscaleConfig::default),
     };
-    cfg.validate()
-        .map_err(|e| format!("{e} (check --fleet / --requests / --max-batch)"))?;
+    cfg.validate().map_err(|e| {
+        let flags = if matches!(e, FleetError::ContextTooLong { .. }) {
+            "--seq / --tokens"
+        } else {
+            "--fleet / --requests / --max-batch"
+        };
+        format!("{e} (check {flags})")
+    })?;
 
     let (report, ftrace) = simulate_fleet_traced(&cfg);
     println!(
@@ -640,7 +646,12 @@ fn cmd_serve(flags: &BTreeMap<String, String>) -> Result<(), Box<dyn Error>> {
         router,
     };
     cfg.validate().map_err(|e| {
-        format!("{e} (check --kv-blocks / --requests / --qps and the policy sizing flags)")
+        let flags = if matches!(e, ConfigError::ContextTooLong { .. }) {
+            "--seq / --tokens"
+        } else {
+            "--kv-blocks / --requests / --qps and the policy sizing flags"
+        };
+        format!("{e} (check {flags})")
     })?;
 
     let (report, strace) = simulate_traced(&cfg, replicas);

@@ -4,24 +4,32 @@
 //! check, and the messages drifted; both now route through shared
 //! helpers, and these tests pin the unified wording end to end — argv in,
 //! stderr out. They also pin that no input is silently ignored or
-//! clamped: flags of the other `skip serve` mode and `--tokens 0` fail.
+//! clamped: flags of the other `skip serve` mode and `--tokens 0` fail,
+//! and a context too long to price is an error, not a panic.
 
 use std::process::Command;
 
-/// Runs the `skip` binary with `args`, expecting a non-zero exit, and
-/// returns the trimmed stderr.
+/// Runs the `skip` binary with `args`, expecting a non-zero exit that is
+/// not a panic (exit code 101), and returns the trimmed stderr.
 fn skip_err(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_skip"))
         .args(args)
         .output()
         .expect("skip binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).trim().to_owned();
     assert!(
         !out.status.success(),
         "`skip {}` unexpectedly succeeded: {}",
         args.join(" "),
         String::from_utf8_lossy(&out.stdout)
     );
-    String::from_utf8_lossy(&out.stderr).trim().to_owned()
+    assert_ne!(
+        out.status.code(),
+        Some(101),
+        "`skip {}` panicked: {stderr}",
+        args.join(" ")
+    );
+    stderr
 }
 
 #[test]
@@ -171,5 +179,24 @@ fn zero_tokens_are_rejected_in_every_subcommand() {
     ] {
         let err = skip_err(&[args, &["--tokens", "0"]].concat());
         assert_eq!(err, "error: --tokens must be at least 1", "{args:?}");
+    }
+}
+
+#[test]
+fn contexts_too_long_to_price_are_errors_not_panics() {
+    let seq = ["--seq", "4000000000"];
+    for mode in [
+        &["serve", "--model", "gpt2"][..],
+        &["serve", "--model", "gpt2", "--fleet", "gh200:2"],
+        &["plan", "--model", "gpt2"],
+    ] {
+        let args = [mode, &seq[..]].concat();
+        let err = skip_err(&args);
+        assert!(
+            err.lines()
+                .any(|l| l.starts_with("error:") && l.contains("2147483648-token")),
+            "`skip {}` must name the context limit on an error: line, got: {err}",
+            args.join(" ")
+        );
     }
 }
